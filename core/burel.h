@@ -17,7 +17,9 @@
 //      bounding boxes tight, which is what gives BUREL its
 //      information-loss edge over space-partitioning schemes.
 // The paper's ECTree formation and Hilbert-curve retrieval variants are
-// follow-up work (see the ablation bench, not yet built).
+// follow-up work; bench_ablation_design_choices ablates only the knobs
+// BurelOptions carries (model strength, serial vs parallel formation,
+// thread count).
 #ifndef BETALIKE_CORE_BUREL_H_
 #define BETALIKE_CORE_BUREL_H_
 

@@ -9,19 +9,18 @@
 //     uniform-spread assumption (Figure 8's estimator, now SA-aware).
 //   - Anatomy: exact QI values, group-level SA histograms — matching
 //     rows contribute their group's matching-SA fraction (Figure 9).
-//   - Perturbed publications: uniform spread over the boxes plus
-//     reconstruction — the randomized response is inverted in
-//     expectation before counting (Figure 9).
+//   - Perturbed publications: the same EC boxes as generalization,
+//     with each class's randomized response inverted in expectation
+//     before it is spread (Figure 9).
 //
 // All three shapes are served through one polymorphic interface:
 // MakeEstimator(PublishedView) resolves the shape the way
 // MakeAnonymizer resolves a scheme name, and the returned Estimator is
-// immutable after construction — its per-publication index (EcSaIndex
-// plus flattened per-EC box summaries) is precomputed once, so one
-// instance can answer queries from many threads concurrently (the
-// serve/ layer relies on this). Estimates are bit-identical to the
-// legacy per-shape free functions, which remain below as thin
-// deprecated wrappers.
+// immutable after construction — its per-publication index is
+// precomputed once, so one instance can answer queries from many
+// threads concurrently (the serve/ layer relies on this). Generalized
+// and perturbed views share one pruned box scan over the equivalence
+// classes; Anatomy answers with one scan over the exact QIT rows.
 //
 // Workload-level accuracy is aggregated as median relative error, the
 // paper's Figures 8/9 metric.
@@ -29,15 +28,12 @@
 #define BETALIKE_QUERY_ESTIMATOR_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "baseline/anatomy.h"
 #include "common/status.h"
 #include "data/table.h"
-#include "perturb/perturbation.h"
 #include "query/published_view.h"
 #include "query/workload.h"
 
@@ -49,7 +45,7 @@ namespace betalike {
 // because real tuples land in a class's box in correlated clumps, not
 // independently; perturbed shapes add randomized-response
 // reconstruction noise. The serving layer turns the variance into a
-// confidence interval; `estimate` is always identical to Estimate().
+// confidence interval.
 struct EstimateWithVariance {
   double estimate = 0.0;
   double variance = 0.0;
@@ -57,7 +53,9 @@ struct EstimateWithVariance {
 
 // Interface every publication shape's estimator implements.
 // Implementations are immutable after construction and safe to share
-// across threads.
+// across threads. Every method expects a query that passes
+// ValidateQuery against schema(); the serving layer checks that before
+// it calls in.
 class Estimator {
  public:
   virtual ~Estimator() = default;
@@ -65,19 +63,23 @@ class Estimator {
   // Stable display name ("generalized", "anatomized", "perturbed").
   virtual std::string Name() const = 0;
 
-  // COUNT(*) estimate of `query` over the wrapped publication,
-  // bit-identical to the matching legacy free function below.
-  virtual double Estimate(const AggregateQuery& query) const = 0;
-
-  // As Estimate(), plus the model variance of the answer. The estimate
-  // field is computed by the identical operation sequence, so it
-  // equals Estimate(query) bitwise.
-  virtual EstimateWithVariance EstimateWithUncertainty(
-      const AggregateQuery& query) const = 0;
+  // Schema of the source microdata the publication was built from.
+  virtual const TableSchema& schema() const = 0;
 
   // SA domain size of the wrapped publication; GROUP-BY answers carry
   // one slot per value code 0..sa_num_values()-1.
-  virtual int32_t sa_num_values() const = 0;
+  int32_t sa_num_values() const { return schema().sa.num_values; }
+
+  // COUNT(*) estimate of `query` over the wrapped publication.
+  double Estimate(const AggregateQuery& query) const {
+    return EstimateWithUncertainty(query).estimate;
+  }
+
+  // As Estimate(), plus the model variance of the answer. The estimate
+  // accumulates independently of the variance, so it is the same value
+  // bit for bit whether or not a caller reads the variance.
+  virtual EstimateWithVariance EstimateWithUncertainty(
+      const AggregateQuery& query) const = 0;
 
   // SUM(SA) estimate of `query`: Σ sa over the rows matching every
   // predicate. Shapes answer with the same structure as their COUNT
@@ -116,44 +118,6 @@ class Estimator {
 // perturbed view whose retention lies outside (0, 1]).
 Result<std::unique_ptr<Estimator>> MakeEstimator(const PublishedView& view);
 
-// ---------------------------------------------------------------------------
-// Legacy per-shape entry points. DEPRECATED: new code should construct
-// an Estimator through MakeEstimator, which answers identically and
-// amortizes the per-publication index. These remain as thin wrappers
-// for callers holding a bare publication.
-// ---------------------------------------------------------------------------
-
-// Uniform-spread estimate of `query`'s count over `published`: every
-// equivalence class contributes its count of tuples matching the SA
-// predicate (all tuples when there is none) times Π_d
-// |box_d ∩ range_d| / |box_d| over the query's QI predicates, counting
-// integer points. This overload recounts SA matches by scanning each
-// class's rows — the reference path; the Estimator uses an index.
-double EstimateFromGeneralized(const GeneralizedTable& published,
-                               const AggregateQuery& query);
-
-// As above with the SA range counts taken from `index` (which must be
-// built over `published`).
-double EstimateFromGeneralized(const GeneralizedTable& published,
-                               const EcSaIndex& index,
-                               const AggregateQuery& query);
-
-// Anatomy estimate: rows matching the QI predicates are counted
-// exactly (QIT publishes exact QI values), each contributing the
-// fraction of its group's SA histogram that matches the SA predicate
-// (1 when there is none, which makes the estimate exact).
-double EstimateFromAnatomized(const AnatomizedTable& anatomized,
-                              const AggregateQuery& query);
-
-// Perturbed-publication estimate: uniform spread over the boxes of
-// `perturbed.view`, with each class's SA range count reconstructed
-// from the perturbed counts — ĉ = (ñ - n (1 - ρ) w / |SA|) / ρ for a
-// range covering w of |SA| values, clamped to [0, n]. `index` must be
-// built over `perturbed.view`.
-double EstimateFromPerturbed(const PerturbedPublication& perturbed,
-                             const EcSaIndex& index,
-                             const AggregateQuery& query);
-
 // Accuracy aggregate of one (publication, workload) evaluation. Errors
 // are percentages: 100 * |estimate - truth| / max(truth, 1), with the
 // max(·, 1) floor keeping empty-result queries finite.
@@ -163,17 +127,12 @@ struct WorkloadError {
   int num_queries = 0;
 };
 
-// Evaluates `estimate` on every workload query against the precomputed
-// `truth` counts (from PreciseCounts on the raw table). The median of
-// an even-sized workload is the mean of the two middle errors.
-// CHECK-fails if `truth` and `workload` sizes differ.
-WorkloadError EvaluateWorkloadWithTruth(
-    const std::vector<int64_t>& truth,
-    const std::vector<AggregateQuery>& workload,
-    const std::function<double(const AggregateQuery&)>& estimate);
-
-// As above over the unified interface: the fig8/fig9 benches evaluate
-// every publication shape through this one overload.
+// Evaluates `estimator`'s COUNT estimate of every workload query
+// against the precomputed `truth` counts (from PreciseCounts on the
+// raw table); the fig8/fig9 benches evaluate every publication shape
+// through it. The median of an even-sized workload is the mean of the
+// two middle errors. CHECK-fails if `truth` and `workload` sizes
+// differ.
 WorkloadError EvaluateWorkloadWithTruth(
     const std::vector<int64_t>& truth,
     const std::vector<AggregateQuery>& workload, const Estimator& estimator);

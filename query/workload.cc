@@ -46,19 +46,25 @@ Status ValidateWorkloadOptions(const TableSchema& schema,
 }
 
 Status ValidateQuery(const TableSchema& schema, const AggregateQuery& query) {
-  std::vector<bool> seen(schema.qi.size(), false);
-  for (const QueryPredicate& p : query.predicates) {
-    if (p.dim < 0 || p.dim >= schema.num_qi()) {
+  // Allocation-free pairwise duplicate check, cheap enough for every
+  // served request: it stops at the first repeat, so it never compares
+  // more than #QIs + 1 predicates.
+  const std::vector<QueryPredicate>& preds = query.predicates;
+  for (size_t i = 0; i < preds.size(); ++i) {
+    const int dim = preds[i].dim;
+    if (dim < 0 || dim >= schema.num_qi()) {
       return Status::InvalidArgument(StrFormat(
-          "predicate dimension %d outside [0, %d)", p.dim, schema.num_qi()));
+          "predicate dimension %d outside [0, %d)", dim, schema.num_qi()));
     }
-    if (seen[p.dim]) {
-      return Status::InvalidArgument(StrFormat(
-          "duplicate predicate on dimension %d (box estimators would "
-          "multiply the two fractions instead of intersecting the ranges)",
-          p.dim));
+    for (size_t j = 0; j < i; ++j) {
+      if (preds[j].dim == dim) {
+        return Status::InvalidArgument(StrFormat(
+            "duplicate predicate on dimension %d (box estimators would "
+            "multiply the two fractions instead of intersecting the "
+            "ranges)",
+            dim));
+      }
     }
-    seen[p.dim] = true;
   }
   return Status::Ok();
 }

@@ -33,9 +33,10 @@ class SyncCallGuard {
   std::atomic<int>* calls_;
 };
 
-ServedAnswer DeadlineExceededAnswer() {
+// A zero placeholder carrying why the request was not served.
+ServedAnswer UnservedAnswer(AnswerStatus status) {
   ServedAnswer answer;
-  answer.status = AnswerStatus::kDeadlineExceeded;
+  answer.status = status;
   return answer;
 }
 
@@ -360,6 +361,13 @@ ServedAnswer QueryServer::AnswerOne(const Estimator& estimator,
                                     const AggregateQuery& query,
                                     AggregateKind kind,
                                     int32_t group_value) const {
+  // Client queries reach the estimator only once their dimensions are
+  // known to be in range and distinct: an out-of-range dimension would
+  // index past the publication's boxes, and a duplicate would multiply
+  // two box fractions instead of intersecting the ranges.
+  if (!ValidateQuery(estimator.schema(), query).ok()) {
+    return UnservedAnswer(AnswerStatus::kInvalidQuery);
+  }
   EstimateWithVariance ev;
   bool integer_valued = true;
   switch (kind) {
@@ -437,7 +445,7 @@ void QueryServer::AnswerChunk(const Chunk& chunk, int worker) {
     // Shed, not served: zero placeholders with kDeadlineExceeded, no
     // estimator work and no per-query latency samples.
     for (size_t i = chunk.begin; i < chunk.end; ++i) {
-      job.answers[i] = DeadlineExceededAnswer();
+      job.answers[i] = UnservedAnswer(AnswerStatus::kDeadlineExceeded);
     }
   } else {
     for (size_t i = chunk.begin; i < chunk.end; ++i) {

@@ -44,6 +44,11 @@
 // return a status, answers it with every status set to
 // kDeadlineExceeded.
 //
+// Every request is checked with ValidateQuery against the estimator's
+// schema before it is computed; one that fails is answered with
+// ServedAnswer::status == kInvalidQuery and zero estimates, like a
+// deadline shed, while the rest of its batch is served normally.
+//
 // Requests cover four aggregates: COUNT(*), SUM(SA), AVG(SA), and
 // GROUP-BY-SA COUNT slots (one width-1 count per SA value; see
 // ExpandGroupBy). Each answer carries a confidence interval derived
@@ -122,6 +127,10 @@ enum class AnswerStatus : int32_t {
   // The batch's deadline passed before this request's chunk was
   // claimed; the request was shed, not computed.
   kDeadlineExceeded = 1,
+  // The query failed ValidateQuery against the publication's schema
+  // (a predicate dimension out of range, or two on one dimension); it
+  // never reached the estimator.
+  kInvalidQuery = 2,
 };
 
 // One served answer: the point estimate (bit-identical to the matching

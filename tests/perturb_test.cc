@@ -12,6 +12,7 @@
 #include "core/anonymizer.h"
 #include "perturb/perturbation.h"
 #include "query/estimator.h"
+#include "query/published_view.h"
 #include "tests/betalike_test.h"
 
 namespace betalike {
@@ -135,13 +136,14 @@ TEST(Perturb, ReconstructionRecoversTrueCounts) {
   options.seed = 7;
   auto perturbed = PerturbSaWithinEcs(*published, options);
   ASSERT_OK(perturbed);
-  const EcSaIndex index(perturbed->view);
+  auto estimator = MakeEstimator(PublishedView::Perturbed(*perturbed));
+  ASSERT_OK(estimator);
 
   for (int32_t v = 0; v < 4; ++v) {
     AggregateQuery query;
     query.sa_lo = v;
     query.sa_hi = v;
-    const double estimate = EstimateFromPerturbed(*perturbed, index, query);
+    const double estimate = (*estimator)->Estimate(query);
     // Binomial noise at this size stays well under 5% of n.
     EXPECT_NEAR(estimate, static_cast<double>(truth[v]), 0.05 * n);
   }
@@ -149,7 +151,7 @@ TEST(Perturb, ReconstructionRecoversTrueCounts) {
   AggregateQuery miss;
   miss.sa_lo = 10;
   miss.sa_hi = 20;
-  EXPECT_NEAR(EstimateFromPerturbed(*perturbed, index, miss), 0.0, 1e-12);
+  EXPECT_NEAR((*estimator)->Estimate(miss), 0.0, 1e-12);
 }
 
 }  // namespace

@@ -1,7 +1,9 @@
 // query/ subsystem tests: deterministic seeded workload generation that
 // hits the requested selectivity band, exact estimation on an
-// ungeneralized (one-row-per-EC) publication, and the median-relative-
-// error aggregation cross-checked against a brute-force recount.
+// ungeneralized (one-row-per-EC) publication, the median-relative-
+// error aggregation cross-checked against a brute-force recount, and
+// every estimator's COUNT and SUM — estimate and variance — pinned bit
+// for bit to the unpruned reference scans of tests/estimator_oracle.h.
 #include <algorithm>
 #include <cmath>
 #include <memory>
@@ -16,6 +18,7 @@
 #include "query/workload.h"
 #include "serve/query_server.h"
 #include "tests/betalike_test.h"
+#include "tests/estimator_oracle.h"
 
 namespace betalike {
 namespace {
@@ -48,6 +51,56 @@ std::shared_ptr<const Table> UniformWideTable(int64_t rows, uint64_t seed) {
                              std::move(sa));
   BETALIKE_CHECK(table.ok()) << table.status().ToString();
   return std::make_shared<Table>(std::move(table).value());
+}
+
+// Mod-k row partition of `table` (coarse boxes with mixed SA), the
+// generalized publication the interface tests answer from.
+GeneralizedTable ModKPublication(const std::shared_ptr<const Table>& table,
+                                 int k) {
+  std::vector<std::vector<int64_t>> ec_rows(k);
+  for (int64_t row = 0; row < table->num_rows(); ++row) {
+    ec_rows[row % k].push_back(row);
+  }
+  auto published = GeneralizedTable::Create(table, std::move(ec_rows));
+  BETALIKE_CHECK(published.ok()) << published.status().ToString();
+  return std::move(published).value();
+}
+
+// `k` contiguous slabs of `table`'s rows sorted by the first QI: tight
+// boxes on that dimension, so the box index prunes most classes of a
+// query that constrains it.
+GeneralizedTable SlabPublication(const std::shared_ptr<const Table>& table,
+                                 int k) {
+  std::vector<int64_t> order(table->num_rows());
+  for (int64_t row = 0; row < table->num_rows(); ++row) order[row] = row;
+  std::stable_sort(order.begin(), order.end(), [&](int64_t a, int64_t b) {
+    return table->qi_value(a, 0) < table->qi_value(b, 0);
+  });
+  std::vector<std::vector<int64_t>> ec_rows(k);
+  for (size_t i = 0; i < order.size(); ++i) {
+    ec_rows[i * k / order.size()].push_back(order[i]);
+  }
+  auto published = GeneralizedTable::Create(table, std::move(ec_rows));
+  BETALIKE_CHECK(published.ok()) << published.status().ToString();
+  return std::move(published).value();
+}
+
+std::vector<AggregateQuery> MixedWorkload(const TableSchema& schema,
+                                          bool include_sa, uint64_t seed) {
+  WorkloadOptions options;
+  options.num_queries = 150;
+  options.lambda = 2;
+  options.include_sa = include_sa;
+  options.seed = seed;
+  auto workload = GenerateWorkload(schema, options);
+  BETALIKE_CHECK(workload.ok()) << workload.status().ToString();
+  return std::move(workload).value();
+}
+
+std::unique_ptr<Estimator> MakeEstimatorOrDie(const PublishedView& view) {
+  auto estimator = MakeEstimator(view);
+  BETALIKE_CHECK(estimator.ok()) << estimator.status().ToString();
+  return std::move(estimator).value();
 }
 
 bool SameWorkload(const std::vector<AggregateQuery>& a,
@@ -190,6 +243,8 @@ TEST(Estimator, ExactOnUngeneralizedTable) {
   }
   auto published = GeneralizedTable::Create(table, std::move(ec_rows));
   ASSERT_OK(published);
+  const auto estimator =
+      MakeEstimatorOrDie(PublishedView::Generalized(*published));
 
   WorkloadOptions options;
   options.num_queries = 100;
@@ -200,7 +255,7 @@ TEST(Estimator, ExactOnUngeneralizedTable) {
   ASSERT_OK(workload);
   const std::vector<int64_t> truth = PreciseCounts(*table, *workload);
   for (size_t i = 0; i < workload->size(); ++i) {
-    EXPECT_NEAR(EstimateFromGeneralized(*published, (*workload)[i]),
+    EXPECT_NEAR(estimator->Estimate((*workload)[i]),
                 static_cast<double>(truth[i]), 1e-9);
   }
 }
@@ -223,14 +278,16 @@ TEST(Estimator, UniformSpreadFractionOfOneEc) {
   auto published = GeneralizedTable::Create(
       table, {{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}});
   ASSERT_OK(published);
+  const auto estimator =
+      MakeEstimatorOrDie(PublishedView::Generalized(*published));
 
   AggregateQuery query;
   query.predicates.push_back({0, 0, 4});
-  EXPECT_NEAR(EstimateFromGeneralized(*published, query), 5.0, 1e-12);
+  EXPECT_NEAR(estimator->Estimate(query), 5.0, 1e-12);
   query.predicates[0] = {0, 8, 20};  // clipped overlap: 2 of 10 points
-  EXPECT_NEAR(EstimateFromGeneralized(*published, query), 2.0, 1e-12);
+  EXPECT_NEAR(estimator->Estimate(query), 2.0, 1e-12);
   query.predicates[0] = {0, 15, 20};  // disjoint
-  EXPECT_NEAR(EstimateFromGeneralized(*published, query), 0.0, 1e-12);
+  EXPECT_NEAR(estimator->Estimate(query), 0.0, 1e-12);
 }
 
 TEST(Estimator, MedianAndMeanCrossCheckedAgainstBruteForce) {
@@ -243,6 +300,8 @@ TEST(Estimator, MedianAndMeanCrossCheckedAgainstBruteForce) {
   }
   auto published = GeneralizedTable::Create(table, std::move(ec_rows));
   ASSERT_OK(published);
+  const auto estimator =
+      MakeEstimatorOrDie(PublishedView::Generalized(*published));
 
   WorkloadOptions options;
   options.num_queries = 101;  // odd: the median is one exact element
@@ -252,11 +311,8 @@ TEST(Estimator, MedianAndMeanCrossCheckedAgainstBruteForce) {
   ASSERT_OK(workload);
   const std::vector<int64_t> truth = PreciseCounts(*table, *workload);
 
-  const auto estimate = [&](const AggregateQuery& query) {
-    return EstimateFromGeneralized(*published, query);
-  };
   const WorkloadError error =
-      EvaluateWorkloadWithTruth(truth, *workload, estimate);
+      EvaluateWorkloadWithTruth(truth, *workload, *estimator);
   EXPECT_EQ(error.num_queries, 101);
 
   // Brute force: recount the truth row by row, recompute every error,
@@ -270,7 +326,7 @@ TEST(Estimator, MedianAndMeanCrossCheckedAgainstBruteForce) {
     }
     ASSERT_EQ(recount, truth[i]);
     const double err =
-        100.0 * std::fabs(estimate((*workload)[i]) -
+        100.0 * std::fabs(estimator->Estimate((*workload)[i]) -
                           static_cast<double>(recount)) /
         std::max(static_cast<double>(recount), 1.0);
     errors.push_back(err);
@@ -338,7 +394,8 @@ TEST(Estimator, IndexedSaPathMatchesScanningPath) {
   }
   auto published = GeneralizedTable::Create(table, std::move(ec_rows));
   ASSERT_OK(published);
-  const EcSaIndex index(*published);
+  const auto estimator =
+      MakeEstimatorOrDie(PublishedView::Generalized(*published));
 
   WorkloadOptions options;
   options.num_queries = 120;
@@ -347,9 +404,10 @@ TEST(Estimator, IndexedSaPathMatchesScanningPath) {
   options.seed = 53;
   auto workload = GenerateWorkload(table->schema(), options);
   ASSERT_OK(workload);
+  // The oracle recounts each class's SA matches from its rows.
   for (const AggregateQuery& query : *workload) {
-    EXPECT_NEAR(EstimateFromGeneralized(*published, index, query),
-                EstimateFromGeneralized(*published, query), 1e-9);
+    EXPECT_EQ(estimator->Estimate(query),
+              oracle::GeneralizedCount(*published, query).estimate);
   }
 }
 
@@ -361,7 +419,8 @@ TEST(Estimator, ExactOnUngeneralizedTableWithSaPredicate) {
   }
   auto published = GeneralizedTable::Create(table, std::move(ec_rows));
   ASSERT_OK(published);
-  const EcSaIndex index(*published);
+  const auto estimator =
+      MakeEstimatorOrDie(PublishedView::Generalized(*published));
 
   WorkloadOptions options;
   options.num_queries = 80;
@@ -372,7 +431,7 @@ TEST(Estimator, ExactOnUngeneralizedTableWithSaPredicate) {
   ASSERT_OK(workload);
   const std::vector<int64_t> truth = PreciseCounts(*table, *workload);
   for (size_t i = 0; i < workload->size(); ++i) {
-    EXPECT_NEAR(EstimateFromGeneralized(*published, index, (*workload)[i]),
+    EXPECT_NEAR(estimator->Estimate((*workload)[i]),
                 static_cast<double>(truth[i]), 1e-9);
   }
 }
@@ -387,7 +446,8 @@ TEST(Estimator, AnatomizedExactWithoutSaPredicate) {
   }
   auto published = GeneralizedTable::Create(table, std::move(ec_rows));
   ASSERT_OK(published);
-  const AnatomizedTable view = AnatomizedTable::FromGrouping(*published);
+  const auto estimator = MakeEstimatorOrDie(
+      PublishedView::Anatomized(AnatomizedTable::FromGrouping(*published)));
 
   WorkloadOptions options;
   options.num_queries = 60;
@@ -397,7 +457,7 @@ TEST(Estimator, AnatomizedExactWithoutSaPredicate) {
   ASSERT_OK(workload);
   const std::vector<int64_t> truth = PreciseCounts(*table, *workload);
   for (size_t i = 0; i < workload->size(); ++i) {
-    EXPECT_NEAR(EstimateFromAnatomized(view, (*workload)[i]),
+    EXPECT_NEAR(estimator->Estimate((*workload)[i]),
                 static_cast<double>(truth[i]), 1e-9);
   }
 }
@@ -414,7 +474,8 @@ TEST(Estimator, AnatomizedMatchesHandComputedGroupFractions) {
   auto published =
       GeneralizedTable::Create(table, {{0, 1, 2, 3}, {4, 5, 6, 7}});
   ASSERT_OK(published);
-  const AnatomizedTable view = AnatomizedTable::FromGrouping(*published);
+  const auto estimator = MakeEstimatorOrDie(
+      PublishedView::Anatomized(AnatomizedTable::FromGrouping(*published)));
 
   // QI range [1, 5] matches rows 1-3 of group 0 and 4-5 of group 1;
   // SA range [1, 2] has fraction 2/4 in group 0 and 3/4 in group 1:
@@ -423,8 +484,32 @@ TEST(Estimator, AnatomizedMatchesHandComputedGroupFractions) {
   query.predicates.push_back({0, 1, 5});
   query.sa_lo = 1;
   query.sa_hi = 2;
-  EXPECT_NEAR(EstimateFromAnatomized(view, query), 3.0, 1e-12);
+  EXPECT_NEAR(estimator->Estimate(query), 3.0, 1e-12);
 }
+
+// An Estimator whose COUNT answers are scripted: the i-th call returns
+// the i-th value, whatever the query.
+class ScriptedEstimator final : public Estimator {
+ public:
+  ScriptedEstimator(const TableSchema& schema, std::vector<double> answers)
+      : schema_(schema), answers_(std::move(answers)) {}
+
+  std::string Name() const override { return "scripted"; }
+  const TableSchema& schema() const override { return schema_; }
+  EstimateWithVariance EstimateWithUncertainty(
+      const AggregateQuery&) const override {
+    return {answers_[next_++], 0.0};
+  }
+  EstimateWithVariance EstimateSumWithUncertainty(
+      const AggregateQuery&) const override {
+    return {};
+  }
+
+ private:
+  TableSchema schema_;
+  std::vector<double> answers_;
+  mutable size_t next_ = 0;
+};
 
 TEST(Estimator, EvenWorkloadMedianAveragesTheMiddlePair) {
   // Four queries with hand-pickable errors: truth {10, 10, 10, 10},
@@ -438,111 +523,119 @@ TEST(Estimator, EvenWorkloadMedianAveragesTheMiddlePair) {
   auto workload = GenerateWorkload(table->schema(), options);
   ASSERT_OK(workload);
   const std::vector<int64_t> truth = {10, 10, 10, 10};
-  const double estimates[] = {10.0, 12.0, 16.0, 30.0};
-  size_t next = 0;
-  const WorkloadError error = EvaluateWorkloadWithTruth(
-      truth, *workload,
-      [&](const AggregateQuery&) { return estimates[next++]; });
+  const ScriptedEstimator estimator(table->schema(),
+                                    {10.0, 12.0, 16.0, 30.0});
+  const WorkloadError error =
+      EvaluateWorkloadWithTruth(truth, *workload, estimator);
   EXPECT_NEAR(error.median_relative_error, 40.0, 1e-12);
   EXPECT_NEAR(error.mean_relative_error, 70.0, 1e-12);
 }
 
-// Mod-k row partition of `table` (coarse boxes with mixed SA), the
-// generalized publication the interface tests answer from.
-GeneralizedTable ModKPublication(const std::shared_ptr<const Table>& table,
-                                 int k) {
-  std::vector<std::vector<int64_t>> ec_rows(k);
-  for (int64_t row = 0; row < table->num_rows(); ++row) {
-    ec_rows[row % k].push_back(row);
-  }
-  auto published = GeneralizedTable::Create(table, std::move(ec_rows));
-  BETALIKE_CHECK(published.ok()) << published.status().ToString();
-  return std::move(published).value();
+// Queries the box and row scans must answer like the oracle, beyond a
+// generated workload: no QI predicate (every class a candidate), an SA
+// range wholly outside the domain, one straddling its lower edge, and
+// a QI range reaching past the domain on both sides.
+std::vector<AggregateQuery> EdgeQueries(const TableSchema& schema) {
+  const int32_t num_values = schema.sa.num_values;
+  const QiSpec& spec = schema.qi[0];
+  std::vector<AggregateQuery> queries(6);
+  queries[1].sa_lo = 0;  // SA predicate only
+  queries[1].sa_hi = num_values / 2;
+  queries[2].sa_lo = num_values + 3;  // wholly outside the SA domain
+  queries[2].sa_hi = num_values + 9;
+  queries[3].sa_lo = -4;  // straddles the lower edge
+  queries[3].sa_hi = 1;
+  queries[4].predicates.push_back({0, spec.lo - 10, spec.hi + 10});
+  queries[5] = queries[4];
+  queries[5].predicates.push_back({1, schema.qi[1].lo, schema.qi[1].lo});
+  queries[5].sa_lo = num_values + 3;
+  queries[5].sa_hi = num_values + 9;
+  return queries;
 }
 
-std::vector<AggregateQuery> MixedWorkload(const TableSchema& schema,
-                                          bool include_sa, uint64_t seed) {
-  WorkloadOptions options;
-  options.num_queries = 150;
-  options.lambda = 2;
-  options.include_sa = include_sa;
-  options.seed = seed;
-  auto workload = GenerateWorkload(schema, options);
-  BETALIKE_CHECK(workload.ok()) << workload.status().ToString();
-  return std::move(workload).value();
-}
-
-std::unique_ptr<Estimator> MakeEstimatorOrDie(const PublishedView& view) {
-  auto estimator = MakeEstimator(view);
-  BETALIKE_CHECK(estimator.ok()) << estimator.status().ToString();
-  return std::move(estimator).value();
-}
-
-// The unified interface must answer *bit-identically* to the legacy
-// free functions (the fig8/fig9 goldens depend on it), hence EXPECT_EQ
-// on raw doubles, not EXPECT_NEAR.
-TEST(EstimatorInterface, GeneralizedMatchesFreeFunctionExactly) {
-  const auto table = SmallCensus(1500);
-  const GeneralizedTable published = ModKPublication(table, 7);
-  const EcSaIndex index(published);
-  const auto estimator =
-      MakeEstimatorOrDie(PublishedView::Generalized(published));
-  EXPECT_EQ(estimator->Name(), std::string("generalized"));
-
+// A generated workload with and without SA predicates, plus the edge
+// queries above.
+std::vector<AggregateQuery> OracleQueries(const TableSchema& schema,
+                                          uint64_t seed) {
+  std::vector<AggregateQuery> queries = EdgeQueries(schema);
   for (bool include_sa : {false, true}) {
-    const auto workload =
-        MixedWorkload(table->schema(), include_sa, include_sa ? 71 : 73);
-    for (const AggregateQuery& query : workload) {
-      const double expected = EstimateFromGeneralized(published, index, query);
-      EXPECT_EQ(estimator->Estimate(query), expected);
-      const EstimateWithVariance ev =
-          estimator->EstimateWithUncertainty(query);
-      EXPECT_EQ(ev.estimate, expected);
-      EXPECT_GE(ev.variance, 0.0);
+    const auto workload = MixedWorkload(schema, include_sa, seed + include_sa);
+    queries.insert(queries.end(), workload.begin(), workload.end());
+  }
+  return queries;
+}
+
+// The estimators must answer *bit-identically* to the unpruned oracle
+// scans (the fig8/fig9 goldens depend on it), hence EXPECT_EQ on raw
+// doubles — estimate and variance, COUNT and SUM — not EXPECT_NEAR.
+void ExpectSameBits(const EstimateWithVariance& got,
+                    const EstimateWithVariance& expected) {
+  EXPECT_EQ(got.estimate, expected.estimate);
+  EXPECT_EQ(got.variance, expected.variance);
+}
+
+// Coarse mod-k boxes (every class overlaps almost every query) and 150
+// tight slabs (the candidate mask spans three words and prunes).
+std::vector<GeneralizedTable> OraclePublications(
+    const std::shared_ptr<const Table>& table) {
+  std::vector<GeneralizedTable> publications;
+  publications.push_back(ModKPublication(table, 7));
+  publications.push_back(SlabPublication(table, 150));
+  return publications;
+}
+
+TEST(EstimatorOracle, GeneralizedBoxScanMatchesUnprunedScan) {
+  const auto table = SmallCensus(1500);
+  for (const GeneralizedTable& published : OraclePublications(table)) {
+    const auto estimator =
+        MakeEstimatorOrDie(PublishedView::Generalized(published));
+    EXPECT_EQ(estimator->Name(), std::string("generalized"));
+    for (const AggregateQuery& query : OracleQueries(table->schema(), 71)) {
+      ExpectSameBits(estimator->EstimateWithUncertainty(query),
+                     oracle::GeneralizedCount(published, query));
+      ExpectSameBits(estimator->EstimateSumWithUncertainty(query),
+                     oracle::GeneralizedSum(published, query));
+      EXPECT_EQ(estimator->Estimate(query),
+                oracle::GeneralizedCount(published, query).estimate);
     }
   }
 }
 
-TEST(EstimatorInterface, AnatomizedMatchesFreeFunctionExactly) {
+TEST(EstimatorOracle, PerturbedBoxScanMatchesUnprunedScan) {
+  const auto table = SmallCensus(1500);
+  for (const GeneralizedTable& published : OraclePublications(table)) {
+    for (double retention : {0.6, 0.8}) {
+      PerturbOptions options;
+      options.retention = retention;
+      options.seed = 97;
+      auto perturbed = PerturbSaWithinEcs(published, options);
+      ASSERT_OK(perturbed);
+      const auto estimator =
+          MakeEstimatorOrDie(PublishedView::Perturbed(*perturbed));
+      EXPECT_EQ(estimator->Name(), std::string("perturbed"));
+      for (const AggregateQuery& query : OracleQueries(table->schema(), 89)) {
+        ExpectSameBits(estimator->EstimateWithUncertainty(query),
+                       oracle::PerturbedCount(*perturbed, query));
+        ExpectSameBits(estimator->EstimateSumWithUncertainty(query),
+                       oracle::PerturbedSum(*perturbed, query));
+        EXPECT_EQ(estimator->Estimate(query),
+                  oracle::PerturbedCount(*perturbed, query).estimate);
+      }
+    }
+  }
+}
+
+TEST(EstimatorOracle, AnatomizedRowScanMatchesRecount) {
   const auto table = SmallCensus(1200);
   const AnatomizedTable view =
       AnatomizedTable::FromGrouping(ModKPublication(table, 6));
-  const auto estimator =
-      MakeEstimatorOrDie(PublishedView::Anatomized(view));
+  const auto estimator = MakeEstimatorOrDie(PublishedView::Anatomized(view));
   EXPECT_EQ(estimator->Name(), std::string("anatomized"));
-
-  for (bool include_sa : {false, true}) {
-    const auto workload =
-        MixedWorkload(table->schema(), include_sa, include_sa ? 79 : 83);
-    for (const AggregateQuery& query : workload) {
-      const double expected = EstimateFromAnatomized(view, query);
-      EXPECT_EQ(estimator->Estimate(query), expected);
-      EXPECT_EQ(estimator->EstimateWithUncertainty(query).estimate, expected);
-    }
-  }
-}
-
-TEST(EstimatorInterface, PerturbedMatchesFreeFunctionExactly) {
-  const auto table = SmallCensus(1200);
-  const GeneralizedTable published = ModKPublication(table, 5);
-  PerturbOptions options;
-  options.retention = 0.7;
-  options.seed = 97;
-  auto perturbed = PerturbSaWithinEcs(published, options);
-  ASSERT_OK(perturbed);
-  const EcSaIndex index(perturbed->view);
-  const auto estimator =
-      MakeEstimatorOrDie(PublishedView::Perturbed(*perturbed));
-  EXPECT_EQ(estimator->Name(), std::string("perturbed"));
-
-  for (bool include_sa : {false, true}) {
-    const auto workload =
-        MixedWorkload(table->schema(), include_sa, include_sa ? 89 : 91);
-    for (const AggregateQuery& query : workload) {
-      const double expected = EstimateFromPerturbed(*perturbed, index, query);
-      EXPECT_EQ(estimator->Estimate(query), expected);
-      EXPECT_EQ(estimator->EstimateWithUncertainty(query).estimate, expected);
-    }
+  for (const AggregateQuery& query : OracleQueries(table->schema(), 79)) {
+    ExpectSameBits(estimator->EstimateWithUncertainty(query),
+                   oracle::AnatomizedCount(view, query));
+    ExpectSameBits(estimator->EstimateSumWithUncertainty(query),
+                   oracle::AnatomizedSum(view, query));
   }
 }
 

@@ -639,9 +639,7 @@ TEST(QueryServer, ConcurrentClientsGetConsistentAnswers) {
 class BlockingEstimator final : public Estimator {
  public:
   std::string Name() const override { return "blocking"; }
-  double Estimate(const AggregateQuery& query) const override {
-    return EstimateWithUncertainty(query).estimate;
-  }
+  const TableSchema& schema() const override { return schema_; }
   EstimateWithVariance EstimateWithUncertainty(
       const AggregateQuery&) const override {
     entered.store(true);
@@ -649,7 +647,6 @@ class BlockingEstimator final : public Estimator {
     cv.wait(lock, [this] { return released; });
     return {};
   }
-  int32_t sa_num_values() const override { return 1; }
   EstimateWithVariance EstimateSumWithUncertainty(
       const AggregateQuery&) const override {
     return {};
@@ -665,6 +662,9 @@ class BlockingEstimator final : public Estimator {
     cv.notify_all();
   }
 
+  // No QI dimensions and one SA value: the tests send it predicate-free
+  // queries only.
+  const TableSchema schema_{{}, {"S", 1}};
   mutable std::atomic<bool> entered{false};
   mutable std::mutex mu;
   mutable std::condition_variable cv;
@@ -1152,6 +1152,116 @@ TEST(QueryServer, MidFlightExpiryShedsAChunkAlignedSuffix) {
       EXPECT_EQ(answers[i].ci_lo, 0.0);
       EXPECT_EQ(answers[i].ci_hi, 0.0);
     }
+  }
+}
+
+// Client queries are validated before they reach the estimator: a
+// negative, out-of-range (including one far past the box array) or
+// repeated predicate dimension is answered with kInvalidQuery and zero
+// placeholders on every entry point and worker count, while the valid
+// requests around it answer byte for byte as in a clean batch.
+TEST(QueryServer, InvalidQueriesAnsweredWithStatusNotServed) {
+  const auto table = UniformWideTable(3000, /*seed=*/61);
+  const auto estimator = MakeEstimatorOrDie(
+      PublishedView::Generalized(ModKPublication(table, 9)));
+  const int num_qi = table->schema().num_qi();
+
+  WorkloadOptions options;
+  options.num_queries = 12;
+  options.lambda = 2;
+  options.include_sa = true;
+  options.seed = 67;
+  auto workload = GenerateWorkload(table->schema(), options);
+  ASSERT_OK(workload);
+  const std::vector<ServedRequest> clean =
+      MixedRequests(*workload, estimator->sa_num_values());
+
+  std::vector<AggregateQuery> invalid(4, (*workload)[0]);
+  invalid[0].predicates.push_back({-1, 0, 10});
+  invalid[1].predicates.push_back({num_qi, 0, 10});
+  invalid[2].predicates.push_back({1 << 20, 0, 10});
+  const QueryPredicate repeated = invalid[3].predicates[0];
+  invalid[3].predicates.push_back(repeated);
+  for (const AggregateQuery& query : invalid) {
+    ASSERT_FALSE(ValidateQuery(table->schema(), query).ok());
+  }
+
+  // The clean batch with an invalid request after every third valid
+  // one, cycling through every (invalid query, kind) pair; `is_invalid`
+  // marks their positions.
+  std::vector<ServedRequest> dirty;
+  std::vector<bool> is_invalid;
+  for (size_t i = 0; i < clean.size(); ++i) {
+    dirty.push_back(clean[i]);
+    is_invalid.push_back(false);
+    if (i % 3 == 2) {
+      const size_t k = i / 3;
+      dirty.push_back({invalid[k % 4], static_cast<AggregateKind>(k / 4 % 4),
+                       0});
+      is_invalid.push_back(true);
+    }
+  }
+  ASSERT_TRUE(clean.size() >= 3 * 16);
+  std::vector<AggregateQuery> clean_counts;
+  std::vector<AggregateQuery> dirty_counts;
+  for (size_t i = 0; i < dirty.size(); ++i) {
+    if (dirty[i].kind != AggregateKind::kCount) continue;
+    dirty_counts.push_back(dirty[i].query);
+    if (!is_invalid[i]) clean_counts.push_back(dirty[i].query);
+  }
+
+  ServedAnswer rejected;
+  rejected.status = AnswerStatus::kInvalidQuery;
+  // Expected answers for `batch`: the clean answers in order, with the
+  // zero kInvalidQuery placeholder wherever the request is invalid.
+  const auto splice = [&](const std::vector<ServedAnswer>& clean_answers,
+                          const auto& batch, const auto& query_of) {
+    std::vector<ServedAnswer> want;
+    size_t next = 0;
+    for (const auto& item : batch) {
+      const bool bad = !ValidateQuery(table->schema(), query_of(item)).ok();
+      want.push_back(bad ? rejected : clean_answers[next++]);
+    }
+    EXPECT_EQ(next, clean_answers.size());
+    return want;
+  };
+  const auto expect_bytes = [](const std::vector<ServedAnswer>& got,
+                               const std::vector<ServedAnswer>& want) {
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_TRUE(got[i].status == want[i].status);
+    }
+    EXPECT_TRUE(std::memcmp(got.data(), want.data(),
+                            got.size() * sizeof(ServedAnswer)) == 0);
+  };
+
+  for (int workers : {1, 3}) {
+    QueryServerOptions server_options;
+    server_options.num_workers = workers;
+    server_options.chunk_size = 4;
+    auto server = QueryServer::Create(estimator, server_options);
+    ASSERT_OK(server);
+    const std::vector<ServedAnswer> want_mixed = splice(
+        (*server)->AnswerBatch(Span<ServedRequest>(clean)), dirty,
+        [](const ServedRequest& r) -> const AggregateQuery& {
+          return r.query;
+        });
+    const std::vector<ServedAnswer> want_counts = splice(
+        (*server)->AnswerBatch(clean_counts), dirty_counts,
+        [](const AggregateQuery& q) -> const AggregateQuery& { return q; });
+
+    expect_bytes((*server)->AnswerBatch(Span<ServedRequest>(dirty)),
+                 want_mixed);
+    expect_bytes((*server)->AnswerBatch(dirty_counts), want_counts);
+    auto submitted = (*server)->SubmitBatch(dirty);
+    ASSERT_OK(submitted);
+    expect_bytes(submitted->get(), want_mixed);
+    auto submitted_counts = (*server)->SubmitBatch(dirty_counts);
+    ASSERT_OK(submitted_counts);
+    expect_bytes(submitted_counts->get(), want_counts);
+    auto submitted_on = (*server)->SubmitBatchOn(estimator, dirty);
+    ASSERT_OK(submitted_on);
+    expect_bytes(submitted_on->get(), want_mixed);
   }
 }
 
