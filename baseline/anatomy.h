@@ -78,6 +78,12 @@ class AnatomizedTable {
     return st_.ValueSquareSum(group, sa_lo, sa_hi);
   }
 
+  // `group`'s ST count prefix row (EcSaIndex::CountPrefix): value v
+  // alone counts row[v + 1] - row[v].
+  const int64_t* GroupSaCountPrefix(size_t group) const {
+    return st_.CountPrefix(group);
+  }
+
  private:
   explicit AnatomizedTable(EcSaIndex st) : st_(std::move(st)) {}
 

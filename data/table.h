@@ -166,6 +166,15 @@ class EcSaIndex {
   // moment the AVG/SUM variance models need.
   int64_t ValueSquareSum(size_t ec, int32_t lo, int32_t hi) const;
 
+  // Class `ec`'s count prefix row, num_values + 1 entries: row[v] is
+  // the tuples with SA value below v, so value v alone counts
+  // row[v + 1] - row[v]. Per-value scans (GROUP-BY slots, perturbed
+  // reconstruction) read it directly instead of calling Count per
+  // value.
+  const int64_t* CountPrefix(size_t ec) const {
+    return prefix_.data() + ec * (static_cast<size_t>(num_values_) + 1);
+  }
+
  private:
   int32_t num_values_ = 0;
   std::vector<int64_t> prefix_;           // counts

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <utility>
 
 #include "common/logging.h"
@@ -123,7 +124,16 @@ class GeneralizedBoxIndex {
   const std::vector<uint64_t>& CandidateMask(
       const AggregateQuery& query) const {
     thread_local std::vector<uint64_t> mask;
-    mask.assign(words_, 0);
+    mask.resize(words_);
+    if (query.predicates.empty()) {
+      // No QI predicates: every class is a candidate — whole words of
+      // ones, with the tail word cut at the last class.
+      std::fill(mask.begin(), mask.end(), ~uint64_t{0});
+      if (num_ecs_ % 64 != 0) {
+        mask.back() = (uint64_t{1} << (num_ecs_ % 64)) - 1;
+      }
+      return mask;
+    }
     bool first = true;
     for (const QueryPredicate& p : query.predicates) {
       const uint64_t* a =
@@ -135,12 +145,6 @@ class GeneralizedBoxIndex {
         first = false;
       } else {
         for (size_t w = 0; w < words_; ++w) mask[w] &= a[w] & b[w];
-      }
-    }
-    if (first) {
-      // No QI predicates: every class is a candidate.
-      for (size_t e = 0; e < num_ecs_; ++e) {
-        mask[e / 64] |= uint64_t{1} << (e % 64);
       }
     }
     return mask;
@@ -173,6 +177,51 @@ class GeneralizedBoxIndex {
   std::vector<uint64_t> overlap_bits_;
 };
 
+// One class's (or row's) uniform-spread term: `matching` tuples (or SA
+// mass) spread over the class box, of which `fraction` is covered.
+// Clustered-spread variance f(1-f)·m²: a class's matching tuples sit
+// in correlated clumps, not independently (Binomial f(1-f)·m covers
+// only ~56% of truths at nominal 95% on CENSUS; treating each class as
+// one all-or-nothing block lands 0.93–0.96 across the fig8 vary-λ
+// panel).
+inline void AddSpread(double fraction, double matching, double* estimate,
+                      double* variance) {
+  *estimate += fraction * matching;
+  *variance += fraction * (1.0 - fraction) * matching * matching;
+}
+
+// static_cast<double>(count) for 0 <= count < 2^52 — every tuple count
+// — in a form the slot loops vectorize: AVX2 has no packed int64 ->
+// double conversion, but placing the count in the mantissa of 2^52 and
+// subtracting 2^52 is exact in that range.
+inline double TupleCount(int64_t count) {
+  const uint64_t bits = static_cast<uint64_t>(count) | 0x4330000000000000ULL;
+  double biased;
+  std::memcpy(&biased, &bits, sizeof biased);
+  return biased - 4503599627370496.0;
+}
+
+// GROUP-BY accumulators for the slots of SA values lo..hi, kept as
+// structure of arrays: a class's loop over the slots then touches two
+// independent double lanes, which the compiler can vectorize without
+// reordering any one slot's additions.
+struct SlotLanes {
+  explicit SlotLanes(int32_t lo, int32_t hi)
+      : lo(lo),
+        width(hi - lo + 1),
+        estimate(static_cast<size_t>(width), 0.0),
+        variance(static_cast<size_t>(width), 0.0) {}
+
+  void CopyTo(EstimateWithVariance* out) const {
+    for (int32_t k = 0; k < width; ++k) out[k] = {estimate[k], variance[k]};
+  }
+
+  int32_t lo;
+  int32_t width;
+  std::vector<double> estimate;
+  std::vector<double> variance;
+};
+
 class GeneralizedEstimator final : public Estimator {
  public:
   explicit GeneralizedEstimator(
@@ -186,19 +235,9 @@ class GeneralizedEstimator final : public Estimator {
 
   EstimateWithVariance EstimateWithUncertainty(
       const AggregateQuery& query) const override {
-    const bool sa = query.has_sa_predicate();
     EstimateWithVariance out;
     boxes_.ForEachOverlap(query, [&](size_t e, double fraction) {
-      const double matching =
-          sa ? static_cast<double>(sa_index_.Count(e, query.sa_lo, query.sa_hi))
-             : boxes_.size(e);
-      out.estimate += fraction * matching;
-      // Clustered-spread variance f(1-f)·m²: a class's matching tuples
-      // sit in correlated clumps, not independently (Binomial f(1-f)·m
-      // covers only ~56% of truths at nominal 95% on CENSUS; treating
-      // each class as one all-or-nothing block lands 0.93–0.96 across
-      // the fig8 vary-λ panel).
-      out.variance += fraction * (1.0 - fraction) * matching * matching;
+      AddCountTerm(query, e, fraction, &out);
     });
     return out;
   }
@@ -208,22 +247,68 @@ class GeneralizedEstimator final : public Estimator {
   // variance per class.
   EstimateWithVariance EstimateSumWithUncertainty(
       const AggregateQuery& query) const override {
-    int32_t lo = 0;
-    int32_t hi = sa_num_values() - 1;
-    if (query.has_sa_predicate()) {
-      lo = query.sa_lo;
-      hi = query.sa_hi;
-    }
+    const SumRange range = SumRangeOf(query);
     EstimateWithVariance out;
     boxes_.ForEachOverlap(query, [&](size_t e, double fraction) {
-      const double sum = static_cast<double>(sa_index_.ValueSum(e, lo, hi));
-      out.estimate += fraction * sum;
-      out.variance += fraction * (1.0 - fraction) * sum * sum;
+      AddSumTerm(range, e, fraction, &out);
     });
     return out;
   }
 
+  // Slot v receives each class's width-1 count term: the class's
+  // tuples with SA value v, read off its prefix row.
+  void EstimateGroupSlots(const AggregateQuery& query, int32_t lo, int32_t hi,
+                          EstimateWithVariance* out) const override {
+    SlotLanes lanes(lo, hi);
+    boxes_.ForEachOverlap(query, [&](size_t e, double fraction) {
+      const int64_t* counts = sa_index_.CountPrefix(e) + lanes.lo;
+      for (int32_t k = 0; k < lanes.width; ++k) {
+        AddSpread(fraction, TupleCount(counts[k + 1] - counts[k]),
+                  &lanes.estimate[k], &lanes.variance[k]);
+      }
+    });
+    lanes.CopyTo(out);
+  }
+
+ protected:
+  void EstimateCountAndSum(const AggregateQuery& query,
+                           EstimateWithVariance* count,
+                           EstimateWithVariance* sum) const override {
+    const SumRange range = SumRangeOf(query);
+    boxes_.ForEachOverlap(query, [&](size_t e, double fraction) {
+      AddCountTerm(query, e, fraction, count);
+      AddSumTerm(range, e, fraction, sum);
+    });
+  }
+
  private:
+  // SA range a SUM aggregates over: the query's (EcSaIndex clamps it to
+  // the domain), or the whole domain.
+  struct SumRange {
+    int32_t lo;
+    int32_t hi;
+  };
+  SumRange SumRangeOf(const AggregateQuery& query) const {
+    if (query.has_sa_predicate()) return {query.sa_lo, query.sa_hi};
+    return {0, sa_num_values() - 1};
+  }
+
+  void AddCountTerm(const AggregateQuery& query, size_t e, double fraction,
+                    EstimateWithVariance* out) const {
+    const double matching =
+        query.has_sa_predicate()
+            ? static_cast<double>(sa_index_.Count(e, query.sa_lo, query.sa_hi))
+            : boxes_.size(e);
+    AddSpread(fraction, matching, &out->estimate, &out->variance);
+  }
+
+  void AddSumTerm(const SumRange& range, size_t e, double fraction,
+                  EstimateWithVariance* out) const {
+    const double sum =
+        static_cast<double>(sa_index_.ValueSum(e, range.lo, range.hi));
+    AddSpread(fraction, sum, &out->estimate, &out->variance);
+  }
+
   std::shared_ptr<const GeneralizedTable> published_;
   EcSaIndex sa_index_;
   GeneralizedBoxIndex boxes_;
@@ -247,36 +332,11 @@ class PerturbedEstimator final : public Estimator {
 
   EstimateWithVariance EstimateWithUncertainty(
       const AggregateQuery& query) const override {
-    const int32_t num_values = sa_num_values();
-    const bool sa = query.has_sa_predicate();
-    double width = 0.0;
-    if (sa) {
-      const int32_t lo = std::max(query.sa_lo, 0);
-      const int32_t hi = std::min(query.sa_hi, num_values - 1);
-      if (lo > hi) return {};
-      width = static_cast<double>(hi - lo + 1);
-    }
+    SaRange range;
+    if (!ClampSaRange(query, &range)) return {};
     EstimateWithVariance out;
     boxes_.ForEachOverlap(query, [&](size_t e, double fraction) {
-      const double size = boxes_.size(e);
-      double matching = size;
-      if (sa) {
-        const double noisy =
-            static_cast<double>(sa_index_.Count(e, query.sa_lo, query.sa_hi));
-        const double expected_noise = size * (1.0 - retention_) * width /
-                                      static_cast<double>(num_values);
-        matching =
-            std::clamp((noisy - expected_noise) / retention_, 0.0, size);
-        // The observed in-range count is a sum of per-tuple Bernoulli
-        // reports; its variance (estimated from the observed rate) is
-        // inflated by 1/ρ² when the mechanism is inverted.
-        const double rate = noisy / size;
-        out.variance += fraction * fraction * size * rate * (1.0 - rate) /
-                        (retention_ * retention_);
-      }
-      out.estimate += fraction * matching;
-      // Clustered-spread term, as in the generalized estimator.
-      out.variance += fraction * (1.0 - fraction) * matching * matching;
+      AddCountTerm(range, e, fraction, &out);
     });
     return out;
   }
@@ -287,38 +347,133 @@ class PerturbedEstimator final : public Estimator {
   // count estimate.
   EstimateWithVariance EstimateSumWithUncertainty(
       const AggregateQuery& query) const override {
-    const int32_t num_values = sa_num_values();
-    int32_t lo = 0;
-    int32_t hi = num_values - 1;
-    if (query.has_sa_predicate()) {
-      lo = std::max(query.sa_lo, 0);
-      hi = std::min(query.sa_hi, num_values - 1);
-      if (lo > hi) return {};
-    }
+    SaRange range;
+    if (!ClampSaRange(query, &range)) return {};
     EstimateWithVariance out;
     boxes_.ForEachOverlap(query, [&](size_t e, double fraction) {
-      const double size = boxes_.size(e);
-      double class_sum = 0.0;
-      double recon_var = 0.0;
-      for (int32_t v = lo; v <= hi; ++v) {
-        const double noisy = static_cast<double>(sa_index_.Count(e, v, v));
-        const double expected_noise =
-            size * (1.0 - retention_) / static_cast<double>(num_values);
-        const double reconstructed =
-            std::clamp((noisy - expected_noise) / retention_, 0.0, size);
-        class_sum += reconstructed * static_cast<double>(v);
-        const double rate = noisy / size;
-        recon_var += static_cast<double>(v) * static_cast<double>(v) * size *
-                     rate * (1.0 - rate) / (retention_ * retention_);
-      }
-      out.estimate += fraction * class_sum;
-      out.variance += fraction * fraction * recon_var +
-                      fraction * (1.0 - fraction) * class_sum * class_sum;
+      AddSumTerm(range, e, fraction, &out);
     });
     return out;
   }
 
+  // Slot v receives each class's width-1 count term: w = 1, and the
+  // class's noisy reports of value v read off its prefix row.
+  void EstimateGroupSlots(const AggregateQuery& query, int32_t lo, int32_t hi,
+                          EstimateWithVariance* out) const override {
+    SlotLanes lanes(lo, hi);
+    boxes_.ForEachOverlap(query, [&](size_t e, double fraction) {
+      const double size = boxes_.size(e);
+      const double expected_noise = ExpectedNoise(size, 1.0);
+      const int64_t* counts = sa_index_.CountPrefix(e) + lanes.lo;
+      for (int32_t k = 0; k < lanes.width; ++k) {
+        AddReconstructedCount(fraction, size,
+                              TupleCount(counts[k + 1] - counts[k]),
+                              expected_noise, &lanes.estimate[k],
+                              &lanes.variance[k]);
+      }
+    });
+    lanes.CopyTo(out);
+  }
+
+ protected:
+  void EstimateCountAndSum(const AggregateQuery& query,
+                           EstimateWithVariance* count,
+                           EstimateWithVariance* sum) const override {
+    SaRange range;
+    if (!ClampSaRange(query, &range)) return;
+    boxes_.ForEachOverlap(query, [&](size_t e, double fraction) {
+      AddCountTerm(range, e, fraction, count);
+      AddSumTerm(range, e, fraction, sum);
+    });
+  }
+
  private:
+  // A query's SA range clamped to the domain (the whole domain without
+  // an SA predicate), and the width w the count formula reads.
+  struct SaRange {
+    bool has_predicate;
+    int32_t lo;
+    int32_t hi;
+    double width;
+  };
+
+  // False when the query's SA range lies wholly outside the domain:
+  // COUNT and SUM are then exactly {0, 0}.
+  bool ClampSaRange(const AggregateQuery& query, SaRange* range) const {
+    const int32_t num_values = sa_num_values();
+    range->has_predicate = query.has_sa_predicate();
+    range->lo = 0;
+    range->hi = num_values - 1;
+    range->width = 0.0;
+    if (range->has_predicate) {
+      range->lo = std::max(query.sa_lo, 0);
+      range->hi = std::min(query.sa_hi, num_values - 1);
+      if (range->lo > range->hi) return false;
+      range->width = static_cast<double>(range->hi - range->lo + 1);
+    }
+    return true;
+  }
+
+  // Reports a class of `size` tuples is expected to place in a range of
+  // `width` SA values by randomization alone.
+  double ExpectedNoise(double size, double width) const {
+    return size * (1.0 - retention_) * width /
+           static_cast<double>(sa_num_values());
+  }
+
+  double Reconstruct(double noisy, double size, double expected_noise) const {
+    return std::clamp((noisy - expected_noise) / retention_, 0.0, size);
+  }
+
+  // One class's count term from `noisy` in-range reports. The observed
+  // in-range count is a sum of per-tuple Bernoulli reports; its
+  // variance (estimated from the observed rate) is inflated by 1/ρ²
+  // when the mechanism is inverted, and added before the clustered
+  // spread term.
+  void AddReconstructedCount(double fraction, double size, double noisy,
+                             double expected_noise, double* estimate,
+                             double* variance) const {
+    const double matching = Reconstruct(noisy, size, expected_noise);
+    const double rate = noisy / size;
+    *variance += fraction * fraction * size * rate * (1.0 - rate) /
+                 (retention_ * retention_);
+    AddSpread(fraction, matching, estimate, variance);
+  }
+
+  void AddCountTerm(const SaRange& range, size_t e, double fraction,
+                    EstimateWithVariance* out) const {
+    const double size = boxes_.size(e);
+    if (!range.has_predicate) {
+      AddSpread(fraction, size, &out->estimate, &out->variance);
+      return;
+    }
+    const int64_t* counts = sa_index_.CountPrefix(e);
+    AddReconstructedCount(
+        fraction, size,
+        static_cast<double>(counts[range.hi + 1] - counts[range.lo]),
+        ExpectedNoise(size, range.width), &out->estimate, &out->variance);
+  }
+
+  void AddSumTerm(const SaRange& range, size_t e, double fraction,
+                  EstimateWithVariance* out) const {
+    const double size = boxes_.size(e);
+    const double expected_noise = ExpectedNoise(size, 1.0);
+    const int64_t* counts = sa_index_.CountPrefix(e);
+    double class_sum = 0.0;
+    double recon_var = 0.0;
+    for (int32_t v = range.lo; v <= range.hi; ++v) {
+      const double noisy = static_cast<double>(counts[v + 1] - counts[v]);
+      class_sum +=
+          Reconstruct(noisy, size, expected_noise) * static_cast<double>(v);
+      const double rate = noisy / size;
+      recon_var += static_cast<double>(v) * static_cast<double>(v) * size *
+                   rate * (1.0 - rate) / (retention_ * retention_);
+    }
+    out->estimate += fraction * class_sum;
+    out->variance += fraction * fraction * recon_var +
+                     fraction * (1.0 - fraction) * class_sum * class_sum;
+  }
+
   std::shared_ptr<const PerturbedPublication> publication_;
   double retention_;
   EcSaIndex sa_index_;
@@ -354,6 +509,14 @@ void ForEachMatchingRow(const Table& source, const AggregateQuery& query,
   }
 }
 
+// One matching row's share of a COUNT: under the within-group
+// uniform-association model the row carries the SA range with
+// probability `fraction` — Bernoulli variance per row.
+inline void AddShare(double fraction, double* estimate, double* variance) {
+  *estimate += fraction;
+  *variance += fraction * (1.0 - fraction);
+}
+
 // Anatomy publishes exact QI values (the QIT), so rows matching the QI
 // predicates are found exactly; the QI-SA linkage is broken, so each
 // matching row contributes its group's SA statistics.
@@ -371,27 +534,10 @@ class AnatomizedEstimator final : public Estimator {
   // without an SA predicate, which makes the estimate exact).
   EstimateWithVariance EstimateWithUncertainty(
       const AggregateQuery& query) const override {
+    const std::vector<double> shares = CountShares(query);
     EstimateWithVariance out;
-    if (!query.has_sa_predicate()) {
-      ForEachMatchingRow(view_->source(), query,
-                         [&](int64_t) { out.estimate += 1.0; });
-      return out;
-    }
-    std::vector<double> group_fraction;
-    group_fraction.reserve(view_->num_groups());
-    for (size_t g = 0; g < view_->num_groups(); ++g) {
-      const int64_t matching =
-          view_->GroupSaCount(g, query.sa_lo, query.sa_hi);
-      group_fraction.push_back(static_cast<double>(matching) /
-                               static_cast<double>(view_->group_size(g)));
-    }
     ForEachMatchingRow(view_->source(), query, [&](int64_t row) {
-      const double fraction = group_fraction[view_->group_of_row(row)];
-      out.estimate += fraction;
-      // Under the within-group uniform-association model, a matching
-      // row carries the SA range with probability `fraction`: Bernoulli
-      // variance per row.
-      out.variance += fraction * (1.0 - fraction);
+      AddCountRow(shares, row, &out);
     });
     return out;
   }
@@ -402,36 +548,110 @@ class AnatomizedEstimator final : public Estimator {
   // E[v²·1] - E[v·1]² from the same histogram moments.
   EstimateWithVariance EstimateSumWithUncertainty(
       const AggregateQuery& query) const override {
+    const SumMoments moments = SumMomentsOf(query);
+    EstimateWithVariance out;
+    ForEachMatchingRow(view_->source(), query, [&](int64_t row) {
+      AddSumRow(moments, row, &out);
+    });
+    return out;
+  }
+
+  // Each matching row adds its group's fraction count_v / size to slot
+  // v. A value the group lacks adds exactly +0.0 to both lanes, which
+  // leaves them unchanged (they start at +0.0 and every term is >= 0),
+  // so it is skipped.
+  void EstimateGroupSlots(const AggregateQuery& query, int32_t lo, int32_t hi,
+                          EstimateWithVariance* out) const override {
+    SlotLanes lanes(lo, hi);
+    ForEachMatchingRow(view_->source(), query, [&](int64_t row) {
+      const int32_t g = view_->group_of_row(row);
+      const int64_t* counts = view_->GroupSaCountPrefix(g) + lanes.lo;
+      const int64_t size = view_->group_size(g);
+      for (int32_t k = 0; k < lanes.width; ++k) {
+        const int64_t count = counts[k + 1] - counts[k];
+        if (count == 0) continue;
+        AddShare(Share(count, size), &lanes.estimate[k], &lanes.variance[k]);
+      }
+    });
+    lanes.CopyTo(out);
+  }
+
+ protected:
+  void EstimateCountAndSum(const AggregateQuery& query,
+                           EstimateWithVariance* count,
+                           EstimateWithVariance* sum) const override {
+    const std::vector<double> shares = CountShares(query);
+    const SumMoments moments = SumMomentsOf(query);
+    ForEachMatchingRow(view_->source(), query, [&](int64_t row) {
+      AddCountRow(shares, row, count);
+      AddSumRow(moments, row, sum);
+    });
+  }
+
+ private:
+  static double Share(int64_t matching, int64_t size) {
+    return static_cast<double>(matching) / static_cast<double>(size);
+  }
+
+  // Each group's matching-SA fraction for `query`'s SA range; empty
+  // without an SA predicate, where every matching row counts exactly 1.
+  std::vector<double> CountShares(const AggregateQuery& query) const {
+    std::vector<double> shares;
+    if (!query.has_sa_predicate()) return shares;
+    shares.reserve(view_->num_groups());
+    for (size_t g = 0; g < view_->num_groups(); ++g) {
+      shares.push_back(Share(view_->GroupSaCount(g, query.sa_lo, query.sa_hi),
+                             view_->group_size(g)));
+    }
+    return shares;
+  }
+
+  void AddCountRow(const std::vector<double>& shares, int64_t row,
+                   EstimateWithVariance* out) const {
+    if (shares.empty()) {
+      out->estimate += 1.0;
+      return;
+    }
+    AddShare(shares[view_->group_of_row(row)], &out->estimate,
+             &out->variance);
+  }
+
+  // Per-group mean masked value and per-row variance of a SUM.
+  struct SumMoments {
+    std::vector<double> mean;
+    std::vector<double> variance;
+  };
+
+  SumMoments SumMomentsOf(const AggregateQuery& query) const {
     int32_t lo = 0;
     int32_t hi = sa_num_values() - 1;
     if (query.has_sa_predicate()) {
       lo = query.sa_lo;
       hi = query.sa_hi;
     }
-    std::vector<double> group_mean;
-    std::vector<double> group_var;
-    group_mean.reserve(view_->num_groups());
-    group_var.reserve(view_->num_groups());
+    SumMoments moments;
+    moments.mean.reserve(view_->num_groups());
+    moments.variance.reserve(view_->num_groups());
     for (size_t g = 0; g < view_->num_groups(); ++g) {
       const double inv = 1.0 / static_cast<double>(view_->group_size(g));
       const double mean =
           static_cast<double>(view_->GroupSaValueSum(g, lo, hi)) * inv;
       const double second =
           static_cast<double>(view_->GroupSaValueSquareSum(g, lo, hi)) * inv;
-      group_mean.push_back(mean);
+      moments.mean.push_back(mean);
       // Non-negative mathematically; the max guards FP rounding only.
-      group_var.push_back(std::max(0.0, second - mean * mean));
+      moments.variance.push_back(std::max(0.0, second - mean * mean));
     }
-    EstimateWithVariance out;
-    ForEachMatchingRow(view_->source(), query, [&](int64_t row) {
-      const int32_t g = view_->group_of_row(row);
-      out.estimate += group_mean[g];
-      out.variance += group_var[g];
-    });
-    return out;
+    return moments;
   }
 
- private:
+  void AddSumRow(const SumMoments& moments, int64_t row,
+                 EstimateWithVariance* out) const {
+    const int32_t g = view_->group_of_row(row);
+    out->estimate += moments.mean[g];
+    out->variance += moments.variance[g];
+  }
+
   std::shared_ptr<const AnatomizedTable> view_;
 };
 
@@ -439,9 +659,10 @@ class AnatomizedEstimator final : public Estimator {
 
 EstimateWithVariance Estimator::EstimateAvgWithUncertainty(
     const AggregateQuery& query) const {
-  const EstimateWithVariance count = EstimateWithUncertainty(query);
+  EstimateWithVariance count;
+  EstimateWithVariance sum;
+  EstimateCountAndSum(query, &count, &sum);
   if (count.estimate <= 0.0) return {};  // empty selection: AVG is 0
-  const EstimateWithVariance sum = EstimateSumWithUncertainty(query);
   EstimateWithVariance out;
   out.estimate = sum.estimate / count.estimate;
   // Delta method for the ratio S/C, with the (positive) S-C covariance
@@ -462,12 +683,7 @@ std::vector<EstimateWithVariance> Estimator::EstimateGroupByWithUncertainty(
     lo = std::max(query.sa_lo, 0);
     hi = std::min(query.sa_hi, num_values - 1);
   }
-  AggregateQuery point = query;
-  for (int32_t v = lo; v <= hi; ++v) {
-    point.sa_lo = v;
-    point.sa_hi = v;
-    out[static_cast<size_t>(v)] = EstimateWithUncertainty(point);
-  }
+  if (lo <= hi) EstimateGroupSlots(query, lo, hi, out.data() + lo);
   return out;
 }
 

@@ -21,6 +21,9 @@
 // threads concurrently (the serve/ layer relies on this). Generalized
 // and perturbed views share one pruned box scan over the equivalence
 // classes; Anatomy answers with one scan over the exact QIT rows.
+// Every aggregate takes one such scan: AVG accumulates COUNT and SUM
+// side by side, and GROUP-BY fills all of its slots from each visited
+// class (or row).
 //
 // Workload-level accuracy is aggregated as median relative error, the
 // paper's Figures 8/9 metric.
@@ -95,20 +98,38 @@ class Estimator {
   // delta-method variance (varS + avg²·varC) / C² (the S-C covariance
   // term is dropped — conservative for positively correlated numerator
   // and denominator). An empty selection (count <= 0) answers {0, 0}.
-  // Non-virtual: every shape's AVG is its SUM over its COUNT by
-  // construction, which the consistency tests rely on.
+  // COUNT and SUM come from one scan (EstimateCountAndSum), each
+  // bitwise equal to its standalone method; the ratio is taken here,
+  // so every shape's AVG is its SUM over its COUNT by construction.
   EstimateWithVariance EstimateAvgWithUncertainty(
       const AggregateQuery& query) const;
 
-  // GROUP-BY-SA COUNT: one COUNT estimate per SA value code, each a
-  // width-1 SA range query (sa_lo = sa_hi = v) through
-  // EstimateWithUncertainty — so every slot is bitwise identical to
-  // the equivalent standalone COUNT query, and the serving layer's
-  // expanded group requests agree with this method by construction.
-  // Values outside the query's SA range (when it has one) are {0, 0},
-  // matching the PreciseGroupCounts convention.
+  // GROUP-BY-SA COUNT: one slot per SA value code, all filled by one
+  // EstimateGroupSlots scan over the query's clamped SA range (the
+  // whole domain without an SA predicate). Values outside that range
+  // are {0, 0}, matching the PreciseGroupCounts convention.
   std::vector<EstimateWithVariance> EstimateGroupByWithUncertainty(
       const AggregateQuery& query) const;
+
+  // The GROUP-BY kernel: writes the slots of SA values lo..hi to
+  // out[0..hi-lo] in one scan of the publication. Slot v is bitwise
+  // the COUNT of `query` with its SA range replaced by [v, v] — the
+  // slot accumulates the same per-class (per-row) terms, in the same
+  // order, as that width-1 query would — so the query's own SA range
+  // plays no further part. Requires 0 <= lo <= hi < sa_num_values().
+  // The serving layer answers each run of GROUP-BY requests with one
+  // call.
+  virtual void EstimateGroupSlots(const AggregateQuery& query, int32_t lo,
+                                  int32_t hi,
+                                  EstimateWithVariance* out) const = 0;
+
+ protected:
+  // Adds `query`'s COUNT and SUM to *count and *sum (both {0, 0} on
+  // entry) in one scan; each accumulates the same terms in the same
+  // order as EstimateWithUncertainty / EstimateSumWithUncertainty.
+  virtual void EstimateCountAndSum(const AggregateQuery& query,
+                                   EstimateWithVariance* count,
+                                   EstimateWithVariance* sum) const = 0;
 };
 
 // Builds the estimator matching `view`'s shape, precomputing its

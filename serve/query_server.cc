@@ -40,6 +40,48 @@ ServedAnswer UnservedAnswer(AnswerStatus status) {
   return answer;
 }
 
+bool SameQuery(const AggregateQuery& a, const AggregateQuery& b) {
+  if (a.sa_lo != b.sa_lo || a.sa_hi != b.sa_hi ||
+      a.predicates.size() != b.predicates.size()) {
+    return false;
+  }
+  for (size_t i = 0; i < a.predicates.size(); ++i) {
+    const QueryPredicate& p = a.predicates[i];
+    const QueryPredicate& q = b.predicates[i];
+    if (p.dim != q.dim || p.lo != q.lo || p.hi != q.hi) return false;
+  }
+  return true;
+}
+
+// True iff `request` is a GROUP-BY slot the estimator computes: inside
+// the SA domain [0, sa_num_values) and the query's SA range. Any other
+// slot is exactly zero (the ExpandGroupBy convention).
+bool IsComputedSlot(const ServedRequest& request, int32_t sa_num_values) {
+  if (request.kind != AggregateKind::kGroupCount) return false;
+  const int32_t v = request.group_value;
+  if (v < 0 || v >= sa_num_values) return false;
+  const AggregateQuery& query = request.query;
+  return !query.has_sa_predicate() || (v >= query.sa_lo && v <= query.sa_hi);
+}
+
+// Length of the slot run starting at requests[0] of the n given: the
+// computed slots of one query with consecutive ascending group values.
+// 0 when requests[0] is not a computed slot.
+size_t SlotRunLength(const ServedRequest* requests, size_t n,
+                     int32_t sa_num_values) {
+  if (n == 0 || !IsComputedSlot(requests[0], sa_num_values)) return 0;
+  size_t length = 1;
+  for (; length < n; ++length) {
+    const ServedRequest& next = requests[length];
+    if (!IsComputedSlot(next, sa_num_values) ||
+        next.group_value != requests[length - 1].group_value + 1 ||
+        !SameQuery(next.query, requests[0].query)) {
+      break;
+    }
+  }
+  return length;
+}
+
 }  // namespace
 
 Result<double> NormalCriticalValue(double confidence) {
@@ -359,8 +401,7 @@ bool QueryServer::ClaimNextChunkLocked(Chunk* chunk) {
 
 ServedAnswer QueryServer::AnswerOne(const Estimator& estimator,
                                     const AggregateQuery& query,
-                                    AggregateKind kind,
-                                    int32_t group_value) const {
+                                    AggregateKind kind) const {
   // Client queries reach the estimator only once their dimensions are
   // known to be in range and distinct: an out-of-range dimension would
   // index past the publication's boxes, and a duplicate would multiply
@@ -382,23 +423,32 @@ ServedAnswer QueryServer::AnswerOne(const Estimator& estimator,
       integer_valued = false;
       break;
     case AggregateKind::kGroupCount:
-      if (group_value < 0 || group_value >= estimator.sa_num_values() ||
-          (query.has_sa_predicate() &&
-           (group_value < query.sa_lo || group_value > query.sa_hi))) {
-        // Outside the publication's SA domain or the query's SA range
-        // the slot is exactly zero — the ExpandGroupBy /
-        // EstimateGroupByWithUncertainty convention. Building a
-        // width-1 point query instead would hand the estimator an
-        // out-of-domain range it never defines an answer for.
-        break;
-      } else {
-        AggregateQuery point = query;
-        point.sa_lo = group_value;
-        point.sa_hi = group_value;
-        ev = estimator.EstimateWithUncertainty(point);
-      }
+      // Only slots outside the publication's SA domain or the query's
+      // SA range come here (AnswerSlotRun computes the rest); they are
+      // exactly zero — the ExpandGroupBy /
+      // EstimateGroupByWithUncertainty convention.
       break;
   }
+  return WithInterval(ev, integer_valued);
+}
+
+void QueryServer::AnswerSlotRun(const Estimator& estimator,
+                                const ServedRequest* run, size_t n,
+                                ServedAnswer* out) const {
+  if (!ValidateQuery(estimator.schema(), run[0].query).ok()) {
+    std::fill(out, out + n, UnservedAnswer(AnswerStatus::kInvalidQuery));
+    return;
+  }
+  std::vector<EstimateWithVariance> slots(n);
+  estimator.EstimateGroupSlots(run[0].query, run[0].group_value,
+                               run[n - 1].group_value, slots.data());
+  for (size_t k = 0; k < n; ++k) {
+    out[k] = WithInterval(slots[k], /*integer_valued=*/true);
+  }
+}
+
+ServedAnswer QueryServer::WithInterval(const EstimateWithVariance& ev,
+                                       bool integer_valued) const {
   const double sd = DeterministicSqrt(ev.variance > 0.0 ? ev.variance : 0.0);
   // +0.5 continuity correction: the interval is for an integer-valued
   // aggregate estimated by a continuous model. AVG is a ratio, not an
@@ -441,29 +491,47 @@ void QueryServer::AnswerChunk(const Chunk& chunk, int worker) {
   BatchJob& job = *chunk.job;
   const bool count_mode = !job.count_queries.empty();
   GuardedHistogram& guarded = *histograms_[worker];
+  // One latency sample per request; a slot run's service time is split
+  // evenly across its slots. The per-worker guard is all but
+  // uncontended (only observers ever share it), but it makes
+  // concurrent MergedHistogram / ResetHistograms well-defined on the
+  // async path, where there is no "between batches" to snapshot in.
+  const auto record = [&guarded](uint64_t nanos, size_t requests) {
+    std::lock_guard<std::mutex> lock(guarded.mu);
+    for (size_t k = 0; k < requests; ++k) {
+      guarded.hist.Record(nanos / requests);
+    }
+  };
   if (chunk.expired) {
     // Shed, not served: zero placeholders with kDeadlineExceeded, no
     // estimator work and no per-query latency samples.
     for (size_t i = chunk.begin; i < chunk.end; ++i) {
       job.answers[i] = UnservedAnswer(AnswerStatus::kDeadlineExceeded);
     }
-  } else {
+  } else if (count_mode) {
     for (size_t i = chunk.begin; i < chunk.end; ++i) {
       const auto start = std::chrono::steady_clock::now();
-      job.answers[i] =
-          count_mode
-              ? AnswerOne(*job.estimator, job.count_queries[i],
-                          AggregateKind::kCount, 0)
-              : AnswerOne(*job.estimator, job.requests[i].query,
-                          job.requests[i].kind, job.requests[i].group_value);
-      const uint64_t nanos =
-          ElapsedNanos(start, std::chrono::steady_clock::now());
-      // The per-worker guard is all but uncontended (only observers
-      // ever share it), but it makes concurrent MergedHistogram /
-      // ResetHistograms well-defined on the async path, where there is
-      // no "between batches" to snapshot in.
-      std::lock_guard<std::mutex> lock(guarded.mu);
-      guarded.hist.Record(nanos);
+      job.answers[i] = AnswerOne(*job.estimator, job.count_queries[i],
+                                 AggregateKind::kCount);
+      record(ElapsedNanos(start, std::chrono::steady_clock::now()), 1);
+    }
+  } else {
+    const int32_t sa_num_values = job.estimator->sa_num_values();
+    for (size_t i = chunk.begin; i < chunk.end;) {
+      const auto start = std::chrono::steady_clock::now();
+      // A slot run never reaches past the chunk, so deadline shedding
+      // stays chunk-aligned.
+      const ServedRequest* request = &job.requests[i];
+      size_t served = SlotRunLength(request, chunk.end - i, sa_num_values);
+      if (served > 0) {
+        AnswerSlotRun(*job.estimator, request, served, &job.answers[i]);
+      } else {
+        served = 1;
+        job.answers[i] =
+            AnswerOne(*job.estimator, request->query, request->kind);
+      }
+      record(ElapsedNanos(start, std::chrono::steady_clock::now()), served);
+      i += served;
     }
   }
   // acq_rel: every worker's answer stores happen-before its own

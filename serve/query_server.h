@@ -51,10 +51,14 @@
 //
 // Requests cover four aggregates: COUNT(*), SUM(SA), AVG(SA), and
 // GROUP-BY-SA COUNT slots (one width-1 count per SA value; see
-// ExpandGroupBy). Each answer carries a confidence interval derived
-// from the estimator's model variance: half-width = z·sqrt(variance),
-// plus a +0.5 continuity correction for the integer-valued aggregates
-// (COUNT and its GROUP-BY slots, SUM of integer codes) but not AVG.
+// ExpandGroupBy). Within a chunk, each run of slots of one query with
+// consecutive ascending values is validated once and computed by one
+// Estimator::EstimateGroupSlots scan; every slot still answers bitwise
+// as its own width-1 COUNT. Each answer carries a confidence interval
+// derived from the estimator's model variance: half-width =
+// z·sqrt(variance), plus a +0.5 continuity correction for the
+// integer-valued aggregates (COUNT and its GROUP-BY slots, SUM of
+// integer codes) but not AVG.
 // All interval arithmetic uses integer/IEEE operations only (Newton's
 // method sqrt, a fixed z table) so served intervals are identical
 // across platforms — no libm.
@@ -100,10 +104,14 @@ enum class AggregateKind {
 // One client request: a query plus the aggregate to serve for it. For
 // kGroupCount, `group_value` selects the SA value of the slot; the
 // answer is bitwise the same slot of
-// Estimator::EstimateGroupByWithUncertainty (zero when the value lies
-// outside the query's SA range or outside the publication's SA domain
-// [0, sa_num_values) — both are exact-zero slots, the ExpandGroupBy
-// convention). `group_value` is ignored by the other kinds.
+// Estimator::EstimateGroupByWithUncertainty, and so bitwise the COUNT
+// of the query with its SA range replaced by [group_value,
+// group_value] (zero when the value lies outside the query's SA range
+// or outside the publication's SA domain [0, sa_num_values) — both are
+// exact-zero slots, the ExpandGroupBy convention). Consecutive slots
+// of one query with ascending values in one chunk form a run that the
+// server computes with one scan; how a batch splits into runs never
+// changes an answer. `group_value` is ignored by the other kinds.
 struct ServedRequest {
   AggregateQuery query;
   AggregateKind kind = AggregateKind::kCount;
@@ -112,11 +120,12 @@ struct ServedRequest {
 
 // Expands a GROUP-BY-SA query into its width-1 kGroupCount requests —
 // one per SA value in the query's effective range (the full domain
-// [0, sa_num_values) when it has no SA predicate); empty when the
-// clamped range is, and empty for a malformed negative domain
-// (sa_num_values < 0) rather than yielding requests against it.
+// [0, sa_num_values) when it has no SA predicate), in ascending order;
+// empty when the clamped range is, and empty for a malformed negative
+// domain (sa_num_values < 0) rather than yielding requests against it.
 // Serving the expansion yields, slot for slot, the in-range entries of
-// EstimateGroupByWithUncertainty.
+// EstimateGroupByWithUncertainty; the part of it inside one chunk is
+// one slot run, answered with one estimator scan.
 std::vector<ServedRequest> ExpandGroupBy(const AggregateQuery& query,
                                          int32_t sa_num_values);
 
@@ -261,11 +270,13 @@ class QueryServer {
       std::shared_ptr<const Estimator> estimator,
       std::vector<ServedRequest> batch, const SubmitOptions& options = {});
 
-  // Per-worker latency histogram of individual query service times
-  // (worker 0 is the thread calling AnswerBatch, or the submitting
-  // thread when num_workers == 1). Returns a snapshot copy taken under
-  // the worker's histogram guard — safe to call while the pool is
-  // recording.
+  // Per-worker latency histogram of individual query service times,
+  // one sample per served request (worker 0 is the thread calling
+  // AnswerBatch, or the submitting thread when num_workers == 1). A
+  // slot run is timed as a whole and its time split evenly across its
+  // slots, each slot recording the share. Returns a snapshot copy
+  // taken under the worker's histogram guard — safe to call while the
+  // pool is recording.
   LatencyHistogram worker_histogram(int worker) const;
   // All workers' histograms merged (a guarded snapshot, like above).
   LatencyHistogram MergedHistogram() const;
@@ -344,10 +355,23 @@ class QueryServer {
               const QueryServerOptions& options, double z);
 
   // One answer; the kind dispatch happens here so every entry point
-  // shares the exact operation sequence.
+  // shares the exact operation sequence. A kGroupCount request reaching
+  // it lies outside the SA domain or its query's SA range and answers
+  // the exact-zero slot.
   ServedAnswer AnswerOne(const Estimator& estimator,
-                         const AggregateQuery& query, AggregateKind kind,
-                         int32_t group_value) const;
+                         const AggregateQuery& query,
+                         AggregateKind kind) const;
+
+  // Answers the n requests of a slot run — computed GROUP-BY slots of
+  // one query with consecutive ascending group values — with one
+  // validation and one Estimator::EstimateGroupSlots scan.
+  void AnswerSlotRun(const Estimator& estimator, const ServedRequest* run,
+                     size_t n, ServedAnswer* out) const;
+
+  // A served answer for `ev`: its estimate and the confidence interval
+  // at options_.confidence.
+  ServedAnswer WithInterval(const EstimateWithVariance& ev,
+                            bool integer_valued) const;
 
   // Admission (pool mode, under mu_): Ok to enqueue, or the shed /
   // shutdown status. Blocks on room_cv_ under kBlock.
@@ -368,7 +392,7 @@ class QueryServer {
   // exhausted.
   void DrainJob(const std::shared_ptr<BatchJob>& job, int worker);
 
-  // Computes (or sheds) a claimed chunk, recording per-query latency
+  // Computes (or sheds) a claimed chunk, recording per-request latency
   // into histograms_[worker]; the worker that finishes the job's last
   // answer records the batch latency, releases the admission count,
   // and fulfills the promise.

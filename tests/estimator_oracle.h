@@ -7,7 +7,10 @@
 // mirrors in the same order, so MakeEstimator's estimators must match
 // it bit for bit on estimate *and* variance: the tests compare with
 // EXPECT_EQ, and anything the prune or an index changes shows up as a
-// differing double.
+// differing double. GROUP-BY and AVG are built from the COUNT and SUM
+// scans the way their definitions read — one width-1 COUNT per slot,
+// and the ratio of SUM to COUNT — independently of the single-scan
+// kernels the estimators answer them with.
 #ifndef BETALIKE_TESTS_ESTIMATOR_ORACLE_H_
 #define BETALIKE_TESTS_ESTIMATOR_ORACLE_H_
 
@@ -242,6 +245,43 @@ inline EstimateWithVariance AnatomizedSum(const AnatomizedTable& view,
     out.estimate += mean;
     out.variance += std::max(0.0, second - mean * mean);
   }
+  return out;
+}
+
+// GROUP-BY reference: the width-1 COUNT loop. Slot v of the query's
+// clamped SA range (the whole domain without an SA predicate) is
+// count(the query with its SA range replaced by [v, v]); every other
+// slot is {0, 0}. `count` is one of the COUNT scans above.
+template <typename Count>
+std::vector<EstimateWithVariance> GroupBy(int32_t num_values,
+                                          const AggregateQuery& query,
+                                          Count&& count) {
+  std::vector<EstimateWithVariance> out(static_cast<size_t>(num_values));
+  int32_t lo = 0;
+  int32_t hi = num_values - 1;
+  if (query.has_sa_predicate()) {
+    lo = std::max(query.sa_lo, 0);
+    hi = std::min(query.sa_hi, num_values - 1);
+  }
+  AggregateQuery point = query;
+  for (int32_t v = lo; v <= hi; ++v) {
+    point.sa_lo = v;
+    point.sa_hi = v;
+    out[static_cast<size_t>(v)] = count(point);
+  }
+  return out;
+}
+
+// AVG reference: SUM over COUNT with the delta-method variance
+// (varS + avg²·varC) / C², and {0, 0} for an empty selection.
+inline EstimateWithVariance Avg(const EstimateWithVariance& count,
+                                const EstimateWithVariance& sum) {
+  if (count.estimate <= 0.0) return {};
+  EstimateWithVariance out;
+  out.estimate = sum.estimate / count.estimate;
+  out.variance =
+      (sum.variance + out.estimate * out.estimate * count.variance) /
+      (count.estimate * count.estimate);
   return out;
 }
 

@@ -2,8 +2,9 @@
 // hits the requested selectivity band, exact estimation on an
 // ungeneralized (one-row-per-EC) publication, the median-relative-
 // error aggregation cross-checked against a brute-force recount, and
-// every estimator's COUNT and SUM — estimate and variance — pinned bit
-// for bit to the unpruned reference scans of tests/estimator_oracle.h.
+// every estimator's COUNT, SUM, AVG and GROUP-BY — estimate and
+// variance — pinned bit for bit to the unpruned reference scans of
+// tests/estimator_oracle.h.
 #include <algorithm>
 #include <cmath>
 #include <memory>
@@ -12,6 +13,7 @@
 
 #include "census/census.h"
 #include "common/random.h"
+#include "core/burel.h"
 #include "perturb/perturbation.h"
 #include "query/estimator.h"
 #include "query/published_view.h"
@@ -504,6 +506,14 @@ class ScriptedEstimator final : public Estimator {
       const AggregateQuery&) const override {
     return {};
   }
+  void EstimateGroupSlots(const AggregateQuery&, int32_t lo, int32_t hi,
+                          EstimateWithVariance* out) const override {
+    std::fill(out, out + (hi - lo + 1), EstimateWithVariance{});
+  }
+
+ protected:
+  void EstimateCountAndSum(const AggregateQuery&, EstimateWithVariance*,
+                           EstimateWithVariance*) const override {}
 
  private:
   TableSchema schema_;
@@ -636,6 +646,125 @@ TEST(EstimatorOracle, AnatomizedRowScanMatchesRecount) {
                    oracle::AnatomizedCount(view, query));
     ExpectSameBits(estimator->EstimateSumWithUncertainty(query),
                    oracle::AnatomizedSum(view, query));
+  }
+}
+
+// A real BUREL publication (β = 8 over 3 QIs) of `table`: on 10000
+// CENSUS rows it has more than 128 classes, so the box index's
+// candidate mask spans three words.
+GeneralizedTable BurelPublication(const std::shared_ptr<const Table>& table) {
+  auto prefixed = table->WithQiPrefix(3);
+  BETALIKE_CHECK(prefixed.ok()) << prefixed.status().ToString();
+  BurelOptions options;
+  options.beta = 8.0;
+  auto published = AnonymizeWithBurel(
+      std::make_shared<Table>(std::move(prefixed).value()), options);
+  BETALIKE_CHECK(published.ok()) << published.status().ToString();
+  BETALIKE_CHECK(published->num_ecs() > 128) << published->num_ecs();
+  return std::move(published).value();
+}
+
+// The edge queries plus a short generated workload with and without SA
+// predicates: each GROUP-BY oracle check costs |SA| unpruned scans.
+std::vector<AggregateQuery> GroupByQueries(const TableSchema& schema,
+                                           uint64_t seed) {
+  std::vector<AggregateQuery> queries = EdgeQueries(schema);
+  for (bool include_sa : {false, true}) {
+    WorkloadOptions options;
+    options.num_queries = 12;
+    options.lambda = 2;
+    options.include_sa = include_sa;
+    options.seed = seed + include_sa;
+    auto workload = GenerateWorkload(schema, options);
+    BETALIKE_CHECK(workload.ok()) << workload.status().ToString();
+    queries.insert(queries.end(), workload->begin(), workload->end());
+  }
+  return queries;
+}
+
+// Every GROUP-BY slot against the oracle's width-1 COUNT loop, and AVG
+// against the oracle's SUM and COUNT under the delta method — both
+// bitwise, estimate and variance.
+template <typename Count, typename Sum>
+void ExpectGroupByAndAvgMatchOracle(const Estimator& estimator,
+                                    const std::vector<AggregateQuery>& queries,
+                                    Count&& count, Sum&& sum) {
+  for (const AggregateQuery& query : queries) {
+    const std::vector<EstimateWithVariance> slots =
+        estimator.EstimateGroupByWithUncertainty(query);
+    const std::vector<EstimateWithVariance> want =
+        oracle::GroupBy(estimator.sa_num_values(), query, count);
+    ASSERT_EQ(slots.size(), want.size());
+    for (size_t v = 0; v < slots.size(); ++v) {
+      ExpectSameBits(slots[v], want[v]);
+    }
+    ExpectSameBits(estimator.EstimateAvgWithUncertainty(query),
+                   oracle::Avg(count(query), sum(query)));
+  }
+}
+
+// Mod-7 boxes, 150 tight slabs and a real BUREL publication of 10000
+// CENSUS rows; the last two prune over a three-word candidate mask.
+std::vector<GeneralizedTable> GroupByPublications(
+    const std::shared_ptr<const Table>& table) {
+  std::vector<GeneralizedTable> publications = OraclePublications(table);
+  publications.push_back(BurelPublication(table));
+  return publications;
+}
+
+TEST(EstimatorOracle, GeneralizedGroupByAndAvgMatchWidthOneCounts) {
+  const auto table = SmallCensus(10000);
+  for (const GeneralizedTable& published : GroupByPublications(table)) {
+    const auto estimator =
+        MakeEstimatorOrDie(PublishedView::Generalized(published));
+    ExpectGroupByAndAvgMatchOracle(
+        *estimator, GroupByQueries(published.source().schema(), 163),
+        [&](const AggregateQuery& q) {
+          return oracle::GeneralizedCount(published, q);
+        },
+        [&](const AggregateQuery& q) {
+          return oracle::GeneralizedSum(published, q);
+        });
+  }
+}
+
+TEST(EstimatorOracle, PerturbedGroupByAndAvgMatchWidthOneCounts) {
+  const auto table = SmallCensus(10000);
+  for (const GeneralizedTable& published : GroupByPublications(table)) {
+    for (double retention : {0.6, 0.8}) {
+      PerturbOptions options;
+      options.retention = retention;
+      options.seed = 167;
+      auto perturbed = PerturbSaWithinEcs(published, options);
+      ASSERT_OK(perturbed);
+      const auto estimator =
+          MakeEstimatorOrDie(PublishedView::Perturbed(*perturbed));
+      ExpectGroupByAndAvgMatchOracle(
+          *estimator, GroupByQueries(published.source().schema(), 173),
+          [&](const AggregateQuery& q) {
+            return oracle::PerturbedCount(*perturbed, q);
+          },
+          [&](const AggregateQuery& q) {
+            return oracle::PerturbedSum(*perturbed, q);
+          });
+    }
+  }
+}
+
+TEST(EstimatorOracle, AnatomizedGroupByAndAvgMatchWidthOneCounts) {
+  const auto table = SmallCensus(10000);
+  for (const GeneralizedTable& published :
+       {ModKPublication(table, 6), BurelPublication(table)}) {
+    const AnatomizedTable view = AnatomizedTable::FromGrouping(published);
+    const auto estimator = MakeEstimatorOrDie(PublishedView::Anatomized(view));
+    ExpectGroupByAndAvgMatchOracle(
+        *estimator, GroupByQueries(published.source().schema(), 179),
+        [&](const AggregateQuery& q) {
+          return oracle::AnatomizedCount(view, q);
+        },
+        [&](const AggregateQuery& q) {
+          return oracle::AnatomizedSum(view, q);
+        });
   }
 }
 

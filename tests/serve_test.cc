@@ -11,13 +11,16 @@
 // test). The hardening layer is covered too: admission control
 // (kReject sheds with ResourceExhausted, kBlock waits for room),
 // per-batch deadlines (already-expired rejection, mid-flight
-// chunk-aligned suffix expiry), the out-of-domain GROUP-BY zero-slot
-// convention on all three publication shapes, histogram observers
+// chunk-aligned suffix expiry, also for GROUP-BY slot runs), served
+// GROUP-BY slot runs against the width-1 COUNT oracle on all three
+// publication shapes and at several chunk sizes, the out-of-domain
+// GROUP-BY zero-slot convention on all three shapes, histogram observers
 // polled while the pool records (the TSan race this PR fixes), and
 // destruction racing live clients.
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -25,6 +28,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <future>
 #include <limits>
 #include <memory>
@@ -33,6 +37,7 @@
 #include <utility>
 #include <vector>
 
+#include "census/census.h"
 #include "common/random.h"
 #include "common/span.h"
 #include "perturb/perturbation.h"
@@ -42,6 +47,7 @@
 #include "serve/latency_histogram.h"
 #include "serve/query_server.h"
 #include "tests/betalike_test.h"
+#include "tests/estimator_oracle.h"
 
 namespace betalike {
 namespace {
@@ -414,10 +420,15 @@ std::vector<ServedRequest> MixedRequests(
   return requests;
 }
 
+// A served slot is bitwise its width-1 COUNT; the reference for it is
+// the unpruned oracle scan, not EstimateGroupByWithUncertainty (the
+// server and that method share one kernel, so comparing the two would
+// check nothing).
 TEST(QueryServer, MixedBatchMatchesEstimatorMethods) {
   const auto table = UniformWideTable(3000, /*seed=*/33);
-  const auto estimator = MakeEstimatorOrDie(
-      PublishedView::Generalized(ModKPublication(table, 9)));
+  const GeneralizedTable published = ModKPublication(table, 9);
+  const auto estimator =
+      MakeEstimatorOrDie(PublishedView::Generalized(published));
   auto server = QueryServer::Create(estimator, QueryServerOptions());
   ASSERT_OK(server);
   const double z = *NormalCriticalValue((*server)->confidence());
@@ -451,10 +462,13 @@ TEST(QueryServer, MixedBatchMatchesEstimatorMethods) {
         expected = estimator->EstimateAvgWithUncertainty(request.query);
         integer_valued = false;
         break;
-      case AggregateKind::kGroupCount:
-        expected = estimator->EstimateGroupByWithUncertainty(
-            request.query)[request.group_value];
+      case AggregateKind::kGroupCount: {
+        AggregateQuery point = request.query;
+        point.sa_lo = request.group_value;
+        point.sa_hi = request.group_value;
+        expected = oracle::GeneralizedCount(published, point);
         break;
+      }
     }
     EXPECT_EQ(answers[i].estimate, expected.estimate);
     const double sd =
@@ -463,6 +477,174 @@ TEST(QueryServer, MixedBatchMatchesEstimatorMethods) {
     const double lo = expected.estimate - half;
     EXPECT_EQ(answers[i].ci_lo, lo > 0.0 ? lo : 0.0);
     EXPECT_EQ(answers[i].ci_hi, expected.estimate + half);
+  }
+}
+
+// The served interval of an integer-valued estimate, recomputed from
+// the served formula: z·sd + 0.5 half-width, lower end clamped at 0.
+ServedAnswer ExpectedCountAnswer(const EstimateWithVariance& ev, double z) {
+  const double sd = DeterministicSqrt(ev.variance > 0.0 ? ev.variance : 0.0);
+  const double half = z * sd + 0.5;
+  ServedAnswer answer;
+  answer.estimate = ev.estimate;
+  answer.ci_lo = ev.estimate - half > 0.0 ? ev.estimate - half : 0.0;
+  answer.ci_hi = ev.estimate + half;
+  return answer;
+}
+
+// A batch laid out to cut slot runs every way the server must handle:
+// full expansions (long runs that chunk boundaries split), two
+// queries' slots interleaved, repeated and descending values, an
+// out-of-domain and an outside-SA-range slot inside a run, runs of
+// consecutive values that step off the SA range and off the domain,
+// consecutive values of two queries, other aggregates between slots,
+// and a whole run of an invalid query.
+std::vector<ServedRequest> SlotRunBatch(const TableSchema& schema) {
+  const int32_t num_values = schema.sa.num_values;
+  AggregateQuery ranged;  // SA predicate [3, num_values - 10]
+  ranged.predicates.push_back({0, schema.qi[0].lo + 5, schema.qi[0].hi - 20});
+  ranged.sa_lo = 3;
+  ranged.sa_hi = num_values - 10;
+  AggregateQuery open;  // two QI predicates, no SA predicate
+  open.predicates.push_back({1, schema.qi[1].lo, schema.qi[1].hi});
+  open.predicates.push_back({2, schema.qi[2].lo + 1, schema.qi[2].hi});
+  AggregateQuery invalid = ranged;  // a repeated dimension
+  invalid.predicates.push_back(ranged.predicates[0]);
+
+  std::vector<ServedRequest> batch;
+  const auto slot = [&](const AggregateQuery& query, int32_t v) {
+    batch.push_back({query, AggregateKind::kGroupCount, v});
+  };
+  for (ServedRequest& r : ExpandGroupBy(ranged, num_values)) {
+    batch.push_back(std::move(r));
+  }
+  for (int32_t v = 0; v < num_values; ++v) {
+    slot(ranged, v);
+    slot(open, v);
+  }
+  for (int32_t v : {5, 5, 6, 9, 8, 7, 10, 11, -1, 12, 13, num_values + 2}) {
+    slot(open, v);
+  }
+  for (int32_t v : {20, 21, num_values - 2, 22, 23}) slot(ranged, v);
+  // Consecutive values running off the SA range and off the domain.
+  for (int32_t v = ranged.sa_hi - 1; v <= ranged.sa_hi + 2; ++v) {
+    slot(ranged, v);
+  }
+  for (int32_t v = num_values - 2; v <= num_values + 1; ++v) slot(open, v);
+  // Consecutive values, but of two different queries.
+  slot(ranged, 14);
+  slot(open, 15);
+  slot(ranged, 16);
+  batch.push_back({ranged, AggregateKind::kAvg, 0});
+  for (ServedRequest& r : ExpandGroupBy(invalid, num_values)) {
+    batch.push_back(std::move(r));
+  }
+  batch.push_back({open, AggregateKind::kCount, 0});
+  for (ServedRequest& r : ExpandGroupBy(open, num_values)) {
+    batch.push_back(std::move(r));
+  }
+  return batch;
+}
+
+// Served slots against the oracle's width-1 COUNT, on every shape and
+// at chunk sizes that split runs at 1, 5 and 64 requests: estimate and
+// interval bitwise, exact-zero slots and kInvalidQuery placeholders
+// where they belong, and one latency sample per request.
+TEST(QueryServer, SlotRunsMatchWidthOneOracleOnEveryShape) {
+  CensusOptions census;
+  census.num_rows = 1500;
+  auto generated = GenerateCensus(census);
+  ASSERT_OK(generated);
+  const auto table = std::make_shared<Table>(std::move(generated).value());
+  const GeneralizedTable published = ModKPublication(table, 9);
+  const AnatomizedTable anatomized = AnatomizedTable::FromGrouping(published);
+  PerturbOptions perturb_options;
+  perturb_options.retention = 0.8;
+  perturb_options.seed = 181;
+  auto perturbed = PerturbSaWithinEcs(published, perturb_options);
+  ASSERT_OK(perturbed);
+
+  struct Shape {
+    std::shared_ptr<const Estimator> estimator;
+    std::function<EstimateWithVariance(const AggregateQuery&)> count;
+  };
+  const std::vector<Shape> shapes = {
+      {MakeEstimatorOrDie(PublishedView::Generalized(published)),
+       [&](const AggregateQuery& q) {
+         return oracle::GeneralizedCount(published, q);
+       }},
+      {MakeEstimatorOrDie(PublishedView::Anatomized(anatomized)),
+       [&](const AggregateQuery& q) {
+         return oracle::AnatomizedCount(anatomized, q);
+       }},
+      {MakeEstimatorOrDie(PublishedView::Perturbed(*perturbed)),
+       [&](const AggregateQuery& q) {
+         return oracle::PerturbedCount(*perturbed, q);
+       }},
+  };
+
+  const TableSchema& schema = table->schema();
+  const std::vector<ServedRequest> batch = SlotRunBatch(schema);
+  const double z = *NormalCriticalValue(0.95);
+  ServedAnswer invalid;
+  invalid.status = AnswerStatus::kInvalidQuery;
+  ServedAnswer zero_slot;
+  zero_slot.ci_hi = 0.5;
+
+  for (const Shape& shape : shapes) {
+    const Estimator& estimator = *shape.estimator;
+    std::vector<ServedAnswer> want;
+    for (const ServedRequest& r : batch) {
+      const int32_t v = r.group_value;
+      if (!ValidateQuery(schema, r.query).ok()) {
+        want.push_back(invalid);
+      } else if (r.kind == AggregateKind::kCount) {
+        want.push_back(ExpectedCountAnswer(shape.count(r.query), z));
+      } else if (r.kind == AggregateKind::kAvg) {
+        const EstimateWithVariance avg =
+            estimator.EstimateAvgWithUncertainty(r.query);
+        const double half =
+            z * DeterministicSqrt(avg.variance > 0.0 ? avg.variance : 0.0);
+        ServedAnswer answer;
+        answer.estimate = avg.estimate;
+        answer.ci_lo = avg.estimate - half > 0.0 ? avg.estimate - half : 0.0;
+        answer.ci_hi = avg.estimate + half;
+        want.push_back(answer);
+      } else if (v < 0 || v >= schema.sa.num_values ||
+                 (r.query.has_sa_predicate() &&
+                  (v < r.query.sa_lo || v > r.query.sa_hi))) {
+        want.push_back(zero_slot);
+      } else {
+        AggregateQuery point = r.query;
+        point.sa_lo = v;
+        point.sa_hi = v;
+        want.push_back(ExpectedCountAnswer(shape.count(point), z));
+      }
+    }
+
+    for (int chunk_size : {1, 5, 64}) {
+      for (int workers : {1, 3}) {
+        QueryServerOptions options;
+        options.num_workers = workers;
+        options.chunk_size = chunk_size;
+        auto server = QueryServer::Create(shape.estimator, options);
+        ASSERT_OK(server);
+        auto submitted = (*server)->SubmitBatch(batch);
+        ASSERT_OK(submitted);
+        for (const std::vector<ServedAnswer>& got :
+             {(*server)->AnswerBatch(Span<ServedRequest>(batch)),
+              submitted->get()}) {
+          ASSERT_EQ(got.size(), want.size());
+          for (size_t i = 0; i < got.size(); ++i) {
+            EXPECT_EQ(got[i].estimate, want[i].estimate);
+            EXPECT_EQ(got[i].ci_lo, want[i].ci_lo);
+            EXPECT_EQ(got[i].ci_hi, want[i].ci_hi);
+            EXPECT_TRUE(got[i].status == want[i].status);
+          }
+        }
+        EXPECT_EQ((*server)->MergedHistogram().count(), 2 * batch.size());
+      }
+    }
   }
 }
 
@@ -642,14 +824,24 @@ class BlockingEstimator final : public Estimator {
   const TableSchema& schema() const override { return schema_; }
   EstimateWithVariance EstimateWithUncertainty(
       const AggregateQuery&) const override {
-    entered.store(true);
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [this] { return released; });
+    Block();
     return {};
   }
   EstimateWithVariance EstimateSumWithUncertainty(
       const AggregateQuery&) const override {
     return {};
+  }
+  void EstimateGroupSlots(const AggregateQuery&, int32_t lo, int32_t hi,
+                          EstimateWithVariance* out) const override {
+    Block();
+    std::fill(out, out + (hi - lo + 1), EstimateWithVariance{});
+  }
+
+  // Marks the estimator entered, then waits for Release().
+  void Block() const {
+    entered.store(true);
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [this] { return released; });
   }
 
   // Unblocks every pinned and future evaluation — lets the admission
@@ -662,13 +854,17 @@ class BlockingEstimator final : public Estimator {
     cv.notify_all();
   }
 
-  // No QI dimensions and one SA value: the tests send it predicate-free
-  // queries only.
-  const TableSchema schema_{{}, {"S", 1}};
+  // No QI dimensions and eight SA values: the tests send it
+  // predicate-free queries only.
+  const TableSchema schema_{{}, {"S", 8}};
   mutable std::atomic<bool> entered{false};
   mutable std::mutex mu;
   mutable std::condition_variable cv;
   mutable bool released = false;
+
+ protected:
+  void EstimateCountAndSum(const AggregateQuery&, EstimateWithVariance*,
+                           EstimateWithVariance*) const override {}
 };
 
 TEST(QueryServer, ConcurrentSynchronousAnswerBatchDies) {
@@ -1153,6 +1349,60 @@ TEST(QueryServer, MidFlightExpiryShedsAChunkAlignedSuffix) {
       EXPECT_EQ(answers[i].ci_hi, 0.0);
     }
   }
+}
+
+// The same cut on a batch of GROUP-BY slots: two full expansions (runs
+// of 8) at chunk size 4, so every run spans two chunks. Runs end at
+// chunk boundaries, so the shed answers stay a chunk-aligned suffix,
+// and each served slot records one latency sample.
+TEST(QueryServer, MidFlightExpiryShedsChunkAlignedSlotRuns) {
+  auto estimator = std::make_shared<BlockingEstimator>();
+  QueryServerOptions options;
+  options.num_workers = 2;  // exactly one pool thread
+  options.chunk_size = 4;
+  auto server = QueryServer::Create(estimator, options);
+  ASSERT_OK(server);
+
+  std::vector<ServedRequest> batch;
+  for (int copy = 0; copy < 2; ++copy) {
+    for (ServedRequest& r :
+         ExpandGroupBy(AggregateQuery(), estimator->sa_num_values())) {
+      batch.push_back(std::move(r));
+    }
+  }
+  ASSERT_EQ(batch.size(), 16u);
+  SubmitOptions submit;
+  submit.deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(50);
+  auto submitted = (*server)->SubmitBatch(batch, submit);
+  ASSERT_OK(submitted);
+  while (!estimator->entered.load() &&
+         submitted->wait_for(std::chrono::milliseconds(1)) !=
+             std::future_status::ready) {
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  estimator->Release();
+  const std::vector<ServedAnswer> answers = submitted->get();
+  ASSERT_EQ(answers.size(), batch.size());
+  size_t cut = answers.size();
+  for (size_t i = 0; i < answers.size(); ++i) {
+    if (answers[i].status == AnswerStatus::kDeadlineExceeded) {
+      cut = i;
+      break;
+    }
+  }
+  EXPECT_LE(cut, 4u);
+  EXPECT_TRUE(cut % 4 == 0);
+  for (size_t i = 0; i < answers.size(); ++i) {
+    const bool served = i < cut;
+    const AnswerStatus status =
+        served ? AnswerStatus::kOk : AnswerStatus::kDeadlineExceeded;
+    EXPECT_TRUE(answers[i].status == status);
+    EXPECT_EQ(answers[i].estimate, 0.0);
+    EXPECT_EQ(answers[i].ci_lo, 0.0);
+    EXPECT_EQ(answers[i].ci_hi, served ? 0.5 : 0.0);
+  }
+  EXPECT_EQ((*server)->MergedHistogram().count(), cut);
 }
 
 // Client queries are validated before they reach the estimator: a
