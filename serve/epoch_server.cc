@@ -32,6 +32,14 @@ Result<std::unique_ptr<EpochServer>> EpochServer::Create(
       new EpochServer(std::move(*server), std::move(registry)));
 }
 
+size_t EpochServer::Registry::Locate(int64_t epoch_id, bool* live) const {
+  const auto pos = std::lower_bound(
+      epochs.begin(), epochs.end(), epoch_id,
+      [](const auto& entry, int64_t id) { return entry.first < id; });
+  *live = pos != epochs.end() && pos->first == epoch_id;
+  return static_cast<size_t>(pos - epochs.begin());
+}
+
 EpochServer::EpochServer(std::unique_ptr<QueryServer> server,
                          std::shared_ptr<const Registry> registry)
     : server_(std::move(server)), registry_(std::move(registry)) {}
@@ -51,13 +59,11 @@ Status EpochServer::PublishEpoch(int64_t epoch_id,
   std::lock_guard<std::mutex> lock(mu_);
   const std::shared_ptr<const Registry> current = Snapshot();
   auto next = std::make_shared<Registry>(*current);
-  const auto pos = std::lower_bound(
-      next->epochs.begin(), next->epochs.end(), epoch_id,
-      [](const auto& entry, int64_t id) { return entry.first < id; });
-  if (pos != next->epochs.end() && pos->first == epoch_id) {
-    return Status::InvalidArgument("epoch_id is already live");
-  }
-  next->epochs.emplace(pos, epoch_id, std::move(estimator));
+  bool live = false;
+  const size_t pos = next->Locate(epoch_id, &live);
+  if (live) return Status::InvalidArgument("epoch_id is already live");
+  next->epochs.emplace(next->epochs.begin() + pos, epoch_id,
+                       std::move(estimator));
   std::atomic_store(&registry_,
                     std::shared_ptr<const Registry>(std::move(next)));
   return Status::Ok();
@@ -67,17 +73,14 @@ Status EpochServer::RetireEpoch(int64_t epoch_id) {
   std::lock_guard<std::mutex> lock(mu_);
   const std::shared_ptr<const Registry> current = Snapshot();
   auto next = std::make_shared<Registry>(*current);
-  const auto pos = std::lower_bound(
-      next->epochs.begin(), next->epochs.end(), epoch_id,
-      [](const auto& entry, int64_t id) { return entry.first < id; });
-  if (pos == next->epochs.end() || pos->first != epoch_id) {
-    return Status::NotFound("epoch is not live");
-  }
+  bool live = false;
+  const size_t pos = next->Locate(epoch_id, &live);
+  if (!live) return Status::NotFound("epoch is not live");
   if (next->epochs.size() == 1) {
     return Status::FailedPrecondition(
         "cannot retire the last live epoch");
   }
-  next->epochs.erase(pos);
+  next->epochs.erase(next->epochs.begin() + pos);
   std::atomic_store(&registry_,
                     std::shared_ptr<const Registry>(std::move(next)));
   return Status::Ok();
@@ -103,13 +106,10 @@ Result<std::shared_ptr<const Estimator>> EpochServer::EpochEstimator(
   if (epoch_id == kLatestEpoch) {
     return registry->epochs.back().second;
   }
-  const auto pos = std::lower_bound(
-      registry->epochs.begin(), registry->epochs.end(), epoch_id,
-      [](const auto& entry, int64_t id) { return entry.first < id; });
-  if (pos == registry->epochs.end() || pos->first != epoch_id) {
-    return Status::NotFound("epoch is not live");
-  }
-  return pos->second;
+  bool live = false;
+  const size_t pos = registry->Locate(epoch_id, &live);
+  if (!live) return Status::NotFound("epoch is not live");
+  return registry->epochs[pos].second;
 }
 
 Result<std::future<std::vector<ServedAnswer>>> EpochServer::SubmitBatch(

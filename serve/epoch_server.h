@@ -112,6 +112,10 @@ class EpochServer {
   // ascending epoch id (so back() is the latest).
   struct Registry {
     std::vector<std::pair<int64_t, std::shared_ptr<const Estimator>>> epochs;
+
+    // Where `epoch_id` sits in `epochs`: the index of its entry when it
+    // is live (*live = true), else the index it would be inserted at.
+    size_t Locate(int64_t epoch_id, bool* live) const;
   };
 
   EpochServer(std::unique_ptr<QueryServer> server,

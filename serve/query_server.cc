@@ -173,16 +173,15 @@ QueryServer::~QueryServer() {
 }
 
 std::vector<ServedAnswer> QueryServer::AnswerBatch(
-    Span<AggregateQuery> batch, const SubmitOptions& options) {
+    Span<ServedRequest> batch, const SubmitOptions& options) {
   SyncCallGuard guard(&sync_calls_);
   if (batch.empty()) return {};
   auto job = std::make_shared<BatchJob>();
-  job->count_queries = batch;
+  job->requests = batch;
   job->estimator = estimator_;
   job->answers.resize(batch.size());
   job->start = std::chrono::steady_clock::now();
   job->deadline = options.deadline;
-  job->has_deadline = options.has_deadline();
   std::future<std::vector<ServedAnswer>> done = job->promise.get_future();
   if (!threads_.empty()) {
     std::lock_guard<std::mutex> lock(mu_);
@@ -196,69 +195,28 @@ std::vector<ServedAnswer> QueryServer::AnswerBatch(
 }
 
 std::vector<ServedAnswer> QueryServer::AnswerBatch(
-    Span<ServedRequest> batch, const SubmitOptions& options) {
-  SyncCallGuard guard(&sync_calls_);
-  if (batch.empty()) return {};
-  auto job = std::make_shared<BatchJob>();
-  job->requests = batch;
-  job->estimator = estimator_;
-  job->answers.resize(batch.size());
-  job->start = std::chrono::steady_clock::now();
-  job->deadline = options.deadline;
-  job->has_deadline = options.has_deadline();
-  std::future<std::vector<ServedAnswer>> done = job->promise.get_future();
-  if (!threads_.empty()) {
-    std::lock_guard<std::mutex> lock(mu_);
-    EnqueueLocked(job, options.client_id);
+    Span<AggregateQuery> batch, const SubmitOptions& options) {
+  std::vector<ServedRequest> requests;
+  requests.reserve(batch.size());
+  for (const AggregateQuery& query : batch) {
+    requests.push_back({query, AggregateKind::kCount});
   }
-  work_cv_.notify_all();
-  DrainJob(job, 0);
-  return done.get();
-}
-
-Result<std::future<std::vector<ServedAnswer>>> QueryServer::SubmitBatch(
-    std::vector<AggregateQuery> batch, const SubmitOptions& options) {
-  auto job = std::make_shared<BatchJob>();
-  job->owned_queries = std::move(batch);
-  job->count_queries = Span<AggregateQuery>(job->owned_queries);
-  job->estimator = estimator_;
-  std::future<std::vector<ServedAnswer>> done = job->promise.get_future();
-  if (job->owned_queries.empty()) {
-    job->promise.set_value({});
-    return done;
-  }
-  job->start = std::chrono::steady_clock::now();
-  if (options.has_deadline() && job->start >= options.deadline) {
-    // Checked before any admission or work: an already-expired batch
-    // is rejected identically at every worker count.
-    return Status::DeadlineExceeded(
-        "batch deadline passed before submission");
-  }
-  job->answers.resize(job->owned_queries.size());
-  job->deadline = options.deadline;
-  job->has_deadline = options.has_deadline();
-  if (threads_.empty()) {
-    // No pool: answer on the submitting thread, completing the job
-    // (and its future) before returning. Nothing queues, so admission
-    // control does not apply.
-    DrainJob(job, 0);
-    return done;
-  }
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    Status admitted = AdmitLocked(lock, job->size());
-    if (!admitted.ok()) return admitted;
-    job->counted = true;
-    queued_requests_ += job->size();
-    EnqueueLocked(job, options.client_id);
-  }
-  work_cv_.notify_all();
-  return done;
+  return AnswerBatch(Span<ServedRequest>(requests), options);
 }
 
 Result<std::future<std::vector<ServedAnswer>>> QueryServer::SubmitBatch(
     std::vector<ServedRequest> batch, const SubmitOptions& options) {
   return SubmitBatchOn(estimator_, std::move(batch), options);
+}
+
+Result<std::future<std::vector<ServedAnswer>>> QueryServer::SubmitBatch(
+    std::vector<AggregateQuery> batch, const SubmitOptions& options) {
+  std::vector<ServedRequest> requests;
+  requests.reserve(batch.size());
+  for (AggregateQuery& query : batch) {
+    requests.push_back({std::move(query), AggregateKind::kCount});
+  }
+  return SubmitBatchOn(estimator_, std::move(requests), options);
 }
 
 Result<std::future<std::vector<ServedAnswer>>> QueryServer::SubmitBatchOn(
@@ -272,19 +230,23 @@ Result<std::future<std::vector<ServedAnswer>>> QueryServer::SubmitBatchOn(
   job->requests = Span<ServedRequest>(job->owned_requests);
   job->estimator = std::move(estimator);
   std::future<std::vector<ServedAnswer>> done = job->promise.get_future();
-  if (job->owned_requests.empty()) {
+  if (job->requests.empty()) {
     job->promise.set_value({});
     return done;
   }
   job->start = std::chrono::steady_clock::now();
   if (options.has_deadline() && job->start >= options.deadline) {
+    // Checked before any admission or work: an already-expired batch
+    // is rejected identically at every worker count.
     return Status::DeadlineExceeded(
         "batch deadline passed before submission");
   }
-  job->answers.resize(job->owned_requests.size());
+  job->answers.resize(job->size());
   job->deadline = options.deadline;
-  job->has_deadline = options.has_deadline();
   if (threads_.empty()) {
+    // No pool: answer on the submitting thread, completing the job
+    // (and its future) before returning. Nothing queues, so admission
+    // control does not apply.
     DrainJob(job, 0);
     return done;
   }
@@ -338,17 +300,23 @@ void QueryServer::EnqueueLocked(const std::shared_ptr<BatchJob>& job,
   client.jobs.push_back(job);
 }
 
-bool QueryServer::CheckExpiryLocked(BatchJob& job) const {
-  if (job.expired) return true;
-  if (job.has_deadline &&
-      std::chrono::steady_clock::now() >= job.deadline) {
-    job.expired = true;
-  }
-  return job.expired;
+void QueryServer::ClaimChunkLocked(const std::shared_ptr<BatchJob>& job,
+                                   Chunk* chunk) {
+  const size_t chunk_size = static_cast<size_t>(options_.chunk_size);
+  const bool expired =
+      job->deadline != std::chrono::steady_clock::time_point::max() &&
+      std::chrono::steady_clock::now() >= job->deadline;
+  chunk->job = job;
+  chunk->begin = job->next_index;
+  // An expired job sheds all remaining requests in one claim — they
+  // cost no estimator work, so there is nothing to interleave.
+  chunk->end =
+      expired ? job->size() : std::min(chunk->begin + chunk_size, job->size());
+  chunk->expired = expired;
+  job->next_index = chunk->end;
 }
 
 bool QueryServer::ClaimNextChunkLocked(Chunk* chunk) {
-  const size_t chunk_size = static_cast<size_t>(options_.chunk_size);
   while (!active_ring_.empty()) {
     const uint64_t client_id = active_ring_.front();
     auto it = clients_.find(client_id);
@@ -371,22 +339,13 @@ bool QueryServer::ClaimNextChunkLocked(Chunk* chunk) {
     // head-of-line delay is bounded by one chunk per active client,
     // not by a whole batch.
     if (client.deficit <= 0) {
-      client.deficit += static_cast<int64_t>(chunk_size);
+      client.deficit += static_cast<int64_t>(options_.chunk_size);
     }
-    const std::shared_ptr<BatchJob>& job = client.jobs.front();
-    const bool expired = CheckExpiryLocked(*job);
-    const size_t begin = job->next_index;
-    // An expired job sheds all remaining requests in one claim — they
-    // cost no estimator work, so there is nothing to interleave.
-    const size_t end =
-        expired ? job->size() : std::min(begin + chunk_size, job->size());
-    job->next_index = end;
-    client.deficit -= static_cast<int64_t>(end - begin);
-    chunk->job = job;  // copy before any pop below invalidates the ref
-    chunk->begin = begin;
-    chunk->end = end;
-    chunk->expired = expired;
-    if (end >= chunk->job->size()) client.jobs.pop_front();
+    // Copies the job into *chunk before any pop below drops the queue's
+    // reference.
+    ClaimChunkLocked(client.jobs.front(), chunk);
+    client.deficit -= static_cast<int64_t>(chunk->end - chunk->begin);
+    if (chunk->end >= chunk->job->size()) client.jobs.pop_front();
     if (client.jobs.empty()) {
       active_ring_.pop_front();
       clients_.erase(it);
@@ -467,21 +426,14 @@ ServedAnswer QueryServer::WithInterval(const EstimateWithVariance& ev,
 }
 
 void QueryServer::DrainJob(const std::shared_ptr<BatchJob>& job, int worker) {
-  const size_t chunk_size = static_cast<size_t>(options_.chunk_size);
-  const size_t size = job->size();
   for (;;) {
     Chunk chunk;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      if (job->next_index >= size) return;
-      const bool expired = CheckExpiryLocked(*job);
-      chunk.job = job;
-      chunk.begin = job->next_index;
-      chunk.end = expired ? size : std::min(chunk.begin + chunk_size, size);
-      chunk.expired = expired;
-      job->next_index = chunk.end;
+      if (job->next_index >= job->size()) return;
       // The ring entry (if any) is pruned lazily by the pool when it
       // next looks at this client.
+      ClaimChunkLocked(job, &chunk);
     }
     AnswerChunk(chunk, worker);
   }
@@ -489,7 +441,6 @@ void QueryServer::DrainJob(const std::shared_ptr<BatchJob>& job, int worker) {
 
 void QueryServer::AnswerChunk(const Chunk& chunk, int worker) {
   BatchJob& job = *chunk.job;
-  const bool count_mode = !job.count_queries.empty();
   GuardedHistogram& guarded = *histograms_[worker];
   // One latency sample per request; a slot run's service time is split
   // evenly across its slots. The per-worker guard is all but
@@ -507,13 +458,6 @@ void QueryServer::AnswerChunk(const Chunk& chunk, int worker) {
     // estimator work and no per-query latency samples.
     for (size_t i = chunk.begin; i < chunk.end; ++i) {
       job.answers[i] = UnservedAnswer(AnswerStatus::kDeadlineExceeded);
-    }
-  } else if (count_mode) {
-    for (size_t i = chunk.begin; i < chunk.end; ++i) {
-      const auto start = std::chrono::steady_clock::now();
-      job.answers[i] = AnswerOne(*job.estimator, job.count_queries[i],
-                                 AggregateKind::kCount);
-      record(ElapsedNanos(start, std::chrono::steady_clock::now()), 1);
     }
   } else {
     const int32_t sa_num_values = job.estimator->sa_num_values();
@@ -572,12 +516,6 @@ void QueryServer::WorkerLoop(int worker) {
     }
     AnswerChunk(chunk, worker);
   }
-}
-
-LatencyHistogram QueryServer::worker_histogram(int worker) const {
-  const GuardedHistogram& guarded = *histograms_[worker];
-  std::lock_guard<std::mutex> lock(guarded.mu);
-  return guarded.hist;
 }
 
 LatencyHistogram QueryServer::MergedHistogram() const {

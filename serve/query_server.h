@@ -5,20 +5,26 @@
 //
 // A QueryServer owns a shared, immutable Estimator (query/estimator.h)
 // and a pool of persistent worker threads draining per-client queues
-// of batch jobs. Two entry points share that machinery:
+// of batch jobs. Every job is a list of ServedRequests, entered one of
+// two ways:
 //
 //   - AnswerBatch(): synchronous — the caller enqueues its batch,
 //     participates as one more worker, and blocks until every answer
 //     is in. One in-flight synchronous batch at a time (a concurrent
 //     second call CHECK-fails; see below). Exempt from admission
 //     control (the blocking caller is its own back-pressure).
-//   - SubmitBatch(): asynchronous — the batch is moved into an owned
-//     job and a std::future of the answers is returned, subject to
-//     admission control: when `max_queued_requests` is set, a batch
-//     that would overflow the queue either blocks until there is room
-//     (AdmissionPolicy::kBlock) or is shed with a ResourceExhausted
-//     status (kReject) instead of growing the queue without bound.
-//     Any number of client threads may submit concurrently.
+//   - SubmitBatch() / SubmitBatchOn(): asynchronous — the batch is
+//     moved into an owned job and a std::future of the answers is
+//     returned, subject to admission control: when
+//     `max_queued_requests` is set, a batch that would overflow the
+//     queue either blocks until there is room (AdmissionPolicy::kBlock)
+//     or is shed with a ResourceExhausted status (kReject) instead of
+//     growing the queue without bound. Any number of client threads
+//     may submit concurrently.
+//
+// The COUNT(*) overloads taking bare AggregateQuery batches are
+// forwarders: they wrap each query as a kCount ServedRequest (the sync
+// one copies, the async one moves) and run the general body.
 //
 // Scheduling is deficit-round-robin over per-client queues at chunk
 // granularity: each batch is split into fixed-size chunks, and the
@@ -224,19 +230,19 @@ class QueryServer {
   QueryServer(const QueryServer&) = delete;
   QueryServer& operator=(const QueryServer&) = delete;
 
-  // Answers every query in `batch`, in order. Deterministic: the
+  // Answers every request in `batch`, in order. Deterministic: the
   // result depends only on the batch, the publication, and the
   // deadline cut point (if any). Synchronous and not reentrant —
   // a second thread calling while a batch is in flight CHECK-fails
   // (concurrent clients must use SubmitBatch); the batch Span must
   // stay valid until the call returns, which the blocking guarantees.
-  std::vector<ServedAnswer> AnswerBatch(Span<AggregateQuery> batch,
+  std::vector<ServedAnswer> AnswerBatch(Span<ServedRequest> batch,
                                         const SubmitOptions& options = {});
 
-  // As above for mixed-aggregate batches: one answer per request, in
-  // order. A kCount request answers bit-identically to the same query
-  // through the COUNT(*) overload.
-  std::vector<ServedAnswer> AnswerBatch(Span<ServedRequest> batch,
+  // COUNT(*) of every query: forwards a copy of the batch, each query
+  // wrapped as a kCount request, to the overload above — so a kCount
+  // request answers bit-identically to the same query here.
+  std::vector<ServedAnswer> AnswerBatch(Span<AggregateQuery> batch,
                                         const SubmitOptions& options = {});
 
   // Asynchronous submission: moves the batch into an owned job, queues
@@ -253,11 +259,12 @@ class QueryServer {
   //     submission was blocked on admission.
   // With num_workers == 1 there is no pool, so an admitted batch is
   // answered on the submitting thread and the returned future is
-  // already ready.
-  Result<std::future<std::vector<ServedAnswer>>> SubmitBatch(
-      std::vector<AggregateQuery> batch, const SubmitOptions& options = {});
+  // already ready. The COUNT(*) overload moves each query into a
+  // kCount request and forwards.
   Result<std::future<std::vector<ServedAnswer>>> SubmitBatch(
       std::vector<ServedRequest> batch, const SubmitOptions& options = {});
+  Result<std::future<std::vector<ServedAnswer>>> SubmitBatch(
+      std::vector<AggregateQuery> batch, const SubmitOptions& options = {});
 
   // As SubmitBatch, but served against `estimator` instead of the
   // server's own — the multi-epoch hook (serve/epoch_server.h): one
@@ -270,15 +277,12 @@ class QueryServer {
       std::shared_ptr<const Estimator> estimator,
       std::vector<ServedRequest> batch, const SubmitOptions& options = {});
 
-  // Per-worker latency histogram of individual query service times,
-  // one sample per served request (worker 0 is the thread calling
-  // AnswerBatch, or the submitting thread when num_workers == 1). A
-  // slot run is timed as a whole and its time split evenly across its
-  // slots, each slot recording the share. Returns a snapshot copy
-  // taken under the worker's histogram guard — safe to call while the
-  // pool is recording.
-  LatencyHistogram worker_histogram(int worker) const;
-  // All workers' histograms merged (a guarded snapshot, like above).
+  // Latency histogram of individual request service times, merged over
+  // every worker: one sample per served request. A slot run is timed
+  // as a whole and its time split evenly across its slots, each slot
+  // recording the share. Returns a snapshot copy taken under each
+  // worker's histogram guard — safe to call while the pool is
+  // recording.
   LatencyHistogram MergedHistogram() const;
 
   // Whole-batch latency attribution: one sample per completed batch,
@@ -302,13 +306,8 @@ class QueryServer {
   // path borrows the caller's span (the caller blocks until the job
   // completes, keeping it valid).
   struct BatchJob {
-    // Exactly one of these is non-empty. Count-only jobs keep the bare
-    // query form so the hot path stays identical to the original
-    // COUNT(*) server.
-    Span<AggregateQuery> count_queries;
     Span<ServedRequest> requests;
-    std::vector<AggregateQuery> owned_queries;
-    std::vector<ServedRequest> owned_requests;
+    std::vector<ServedRequest> owned_requests;  // backs `requests` (async)
 
     // The estimator this job is served against (the server's own, or
     // the per-epoch one from SubmitBatchOn). Shared ownership keeps a
@@ -318,21 +317,16 @@ class QueryServer {
 
     std::vector<ServedAnswer> answers;
     size_t next_index = 0;  // chunk-claim cursor, guarded by mu_
-    // Deadline tripped at a chunk claim: every later claim of this job
-    // sheds instead of computing. Guarded by mu_ (claims happen under
-    // the lock).
-    bool expired = false;
-    std::chrono::steady_clock::time_point deadline;
-    bool has_deadline = false;
+    // time_point::max() means none, as in SubmitOptions.
+    std::chrono::steady_clock::time_point deadline =
+        std::chrono::steady_clock::time_point::max();
     // Counted toward queued_requests_ (async pool jobs only).
     bool counted = false;
     std::atomic<size_t> completed{0};  // answers finished
     std::chrono::steady_clock::time_point start;
     std::promise<std::vector<ServedAnswer>> promise;
 
-    size_t size() const {
-      return count_queries.empty() ? requests.size() : count_queries.size();
-    }
+    size_t size() const { return requests.size(); }
   };
 
   // A claimed slice of one job: requests [begin, end), either to be
@@ -382,6 +376,12 @@ class QueryServer {
   void EnqueueLocked(const std::shared_ptr<BatchJob>& job,
                      uint64_t client_id);
 
+  // Claims the next chunk of `job`, which must have unclaimed requests:
+  // chunk_size requests, or — once the claim observes the deadline
+  // passed — the whole remainder as one shed chunk, so an expired job
+  // is never claimed again.
+  void ClaimChunkLocked(const std::shared_ptr<BatchJob>& job, Chunk* chunk);
+
   // The deficit-round-robin pick: claims the next chunk across all
   // client queues, pruning exhausted jobs and idle clients as it goes.
   // Returns false when nothing is claimable.
@@ -397,10 +397,6 @@ class QueryServer {
   // answer records the batch latency, releases the admission count,
   // and fulfills the promise.
   void AnswerChunk(const Chunk& chunk, int worker);
-
-  // Claims whether this job's deadline has passed (under mu_),
-  // latching expired.
-  bool CheckExpiryLocked(BatchJob& job) const;
 
   // Pool thread main: claim chunks until the queues are empty and
   // shutdown is requested.

@@ -662,6 +662,12 @@ TEST(QueryServer, SubmitBatchMatchesSynchronousAnswersBitwise) {
   ASSERT_OK(workload);
   const std::vector<ServedRequest> requests =
       MixedRequests(*workload, estimator->sa_num_values());
+  // The COUNT workload as general requests: the COUNT(*) overloads are
+  // forwarders, so these must answer bitwise as count_reference.
+  std::vector<ServedRequest> count_requests;
+  for (const AggregateQuery& query : *workload) {
+    count_requests.push_back({query, AggregateKind::kCount});
+  }
 
   // Reference answers from a single-worker synchronous server.
   std::vector<ServedAnswer> count_reference;
@@ -726,6 +732,35 @@ TEST(QueryServer, SubmitBatchMatchesSynchronousAnswersBitwise) {
     EXPECT_EQ((*server)->BatchHistogram().count(), 5u);
     EXPECT_EQ((*server)->MergedHistogram().count(),
               3 * workload->size() + 2 * requests.size());
+
+    // kCount requests through the general overloads, async and sync.
+    auto wrapped_future = (*server)->SubmitBatch(count_requests);
+    ASSERT_OK(wrapped_future);
+    expect_same(wrapped_future->get(), count_reference);
+    expect_same((*server)->AnswerBatch(Span<ServedRequest>(count_requests)),
+                count_reference);
+  }
+}
+
+TEST(QueryServer, SubmitBatchOnNullEstimatorIsRejected) {
+  const auto table = UniformWideTable(100, /*seed=*/53);
+  const auto estimator = MakeEstimatorOrDie(
+      PublishedView::Generalized(ModKPublication(table, 2)));
+  const std::vector<ServedRequest> requests(4);
+  for (int workers : {1, 3}) {
+    QueryServerOptions options;
+    options.num_workers = workers;
+    auto server = QueryServer::Create(estimator, options);
+    ASSERT_OK(server);
+    auto rejected = (*server)->SubmitBatchOn(nullptr, requests);
+    ASSERT_FALSE(rejected.ok());
+    EXPECT_TRUE(rejected.status().code() == StatusCode::kInvalidArgument);
+    EXPECT_EQ((*server)->queued_requests(), 0u);
+    EXPECT_EQ((*server)->BatchHistogram().count(), 0u);
+    // The server still serves the same batch on its own estimator.
+    auto served = (*server)->SubmitBatchOn(estimator, requests);
+    ASSERT_OK(served);
+    EXPECT_EQ(served->get().size(), requests.size());
   }
 }
 
@@ -1063,7 +1098,7 @@ TEST(QueryServer, HistogramObserversSafeUnderConcurrentServing) {
     uint64_t sink = 0;
     while (!done.load()) {
       sink += (*server)->MergedHistogram().count();
-      sink += (*server)->worker_histogram(1).count();
+      sink += (*server)->MergedHistogram().QuantileNanos(0.99);
       sink += (*server)->BatchHistogram().QuantileNanos(0.5);
       if (++spin % 16 == 0) (*server)->ResetHistograms();
       std::this_thread::yield();
