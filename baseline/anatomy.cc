@@ -129,16 +129,33 @@ Result<GeneralizedTable> AnonymizeWithAnatomy(
 
 AnatomizedTable AnatomizedTable::FromGrouping(
     const GeneralizedTable& grouped) {
-  AnatomizedTable out{EcSaIndex(grouped)};
+  const Table& source = grouped.source();
+  AnatomizedTable out;
   out.source_ = grouped.shared_source();
-  out.group_of_row_.assign(grouped.source().num_rows(), 0);
+  out.group_of_row_.assign(source.num_rows(), 0);
   out.group_sizes_.reserve(grouped.num_ecs());
+  out.st_offsets_.reserve(grouped.num_ecs() + 1);
+  out.st_offsets_.push_back(0);
+  std::vector<int32_t> values;
   for (size_t g = 0; g < grouped.num_ecs(); ++g) {
     const EquivalenceClass& ec = grouped.ec(g);
+    BETALIKE_CHECK(ec.size() <= INT32_MAX)
+        << "group " << g << " of " << ec.size() << " rows";
     out.group_sizes_.push_back(ec.size());
+    values.clear();
     for (int64_t row : ec.rows) {
       out.group_of_row_[row] = static_cast<int32_t>(g);
+      values.push_back(source.sa_value(row));
     }
+    // Run-length encode the sorted values into the group's entries.
+    std::sort(values.begin(), values.end());
+    for (size_t i = 0; i < values.size();) {
+      size_t end = i + 1;
+      while (end < values.size() && values[end] == values[i]) ++end;
+      out.st_.push_back({values[i], static_cast<int32_t>(end - i)});
+      i = end;
+    }
+    out.st_offsets_.push_back(out.st_.size());
   }
   return out;
 }

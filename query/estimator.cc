@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/logging.h"
+#include "query/row_scan.h"
 
 namespace betalike {
 namespace {
@@ -459,15 +460,30 @@ class PerturbedEstimator final : public Estimator {
     const double size = boxes_.size(e);
     const double expected_noise = ExpectedNoise(size, 1.0);
     const int64_t* counts = sa_index_.CountPrefix(e);
+    // Per chunk of values, the per-value terms (three divisions each)
+    // fill two arrays in a loop the compiler vectorizes; a serial loop
+    // then adds them in ascending v — the terms and the addition order
+    // of one fused loop.
+    constexpr int32_t kChunk = 64;
+    double sum_terms[kChunk];
+    double var_terms[kChunk];
     double class_sum = 0.0;
     double recon_var = 0.0;
-    for (int32_t v = range.lo; v <= range.hi; ++v) {
-      const double noisy = static_cast<double>(counts[v + 1] - counts[v]);
-      class_sum +=
-          Reconstruct(noisy, size, expected_noise) * static_cast<double>(v);
-      const double rate = noisy / size;
-      recon_var += static_cast<double>(v) * static_cast<double>(v) * size *
-                   rate * (1.0 - rate) / (retention_ * retention_);
+    for (int32_t first = range.lo; first <= range.hi; first += kChunk) {
+      const int32_t width = std::min(kChunk, range.hi - first + 1);
+      for (int32_t k = 0; k < width; ++k) {
+        const int32_t v = first + k;
+        const double value = static_cast<double>(v);
+        const double noisy = TupleCount(counts[v + 1] - counts[v]);
+        sum_terms[k] = Reconstruct(noisy, size, expected_noise) * value;
+        const double rate = noisy / size;
+        var_terms[k] = value * value * size * rate * (1.0 - rate) /
+                       (retention_ * retention_);
+      }
+      for (int32_t k = 0; k < width; ++k) {
+        class_sum += sum_terms[k];
+        recon_var += var_terms[k];
+      }
     }
     out->estimate += fraction * class_sum;
     out->variance += fraction * fraction * recon_var +
@@ -480,35 +496,6 @@ class PerturbedEstimator final : public Estimator {
   GeneralizedBoxIndex boxes_;
 };
 
-// Calls term(row) for every QIT row of `source` inside every QI
-// predicate of `query`, in ascending row order.
-template <typename Term>
-void ForEachMatchingRow(const Table& source, const AggregateQuery& query,
-                        Term&& term) {
-  struct FlatPredicate {
-    const int32_t* column;
-    int32_t lo;
-    int32_t hi;
-  };
-  std::vector<FlatPredicate> preds;
-  preds.reserve(query.predicates.size());
-  for (const QueryPredicate& p : query.predicates) {
-    preds.push_back({source.qi_column(p.dim).data(), p.lo, p.hi});
-  }
-  const int64_t n = source.num_rows();
-  for (int64_t row = 0; row < n; ++row) {
-    bool match = true;
-    for (const FlatPredicate& p : preds) {
-      const int32_t v = p.column[row];
-      if (v < p.lo || v > p.hi) {
-        match = false;
-        break;
-      }
-    }
-    if (match) term(row);
-  }
-}
-
 // One matching row's share of a COUNT: under the within-group
 // uniform-association model the row carries the SA range with
 // probability `fraction` — Bernoulli variance per row.
@@ -519,7 +506,10 @@ inline void AddShare(double fraction, double* estimate, double* variance) {
 
 // Anatomy publishes exact QI values (the QIT), so rows matching the QI
 // predicates are found exactly; the QI-SA linkage is broken, so each
-// matching row contributes its group's SA statistics.
+// matching row contributes its group's SA statistics. A COUNT or SUM
+// first derives those statistics for every group in one sequential
+// pass over the sparse ST, into per-thread scratch that is reused from
+// query to query, and each matching row then reads its group's entry.
 class AnatomizedEstimator final : public Estimator {
  public:
   explicit AnatomizedEstimator(std::shared_ptr<const AnatomizedTable> view)
@@ -534,9 +524,10 @@ class AnatomizedEstimator final : public Estimator {
   // without an SA predicate, which makes the estimate exact).
   EstimateWithVariance EstimateWithUncertainty(
       const AggregateQuery& query) const override {
-    const std::vector<double> shares = CountShares(query);
+    Scratch& scratch = ThreadScratch();
+    const double* shares = CountShares(query, &scratch);
     EstimateWithVariance out;
-    ForEachMatchingRow(view_->source(), query, [&](int64_t row) {
+    ForEachMatchingQitRow(query, [&](int64_t row) {
       AddCountRow(shares, row, &out);
     });
     return out;
@@ -548,29 +539,30 @@ class AnatomizedEstimator final : public Estimator {
   // E[v²·1] - E[v·1]² from the same histogram moments.
   EstimateWithVariance EstimateSumWithUncertainty(
       const AggregateQuery& query) const override {
-    const SumMoments moments = SumMomentsOf(query);
+    Scratch& scratch = ThreadScratch();
+    SumMoments(query, &scratch);
     EstimateWithVariance out;
-    ForEachMatchingRow(view_->source(), query, [&](int64_t row) {
-      AddSumRow(moments, row, &out);
+    ForEachMatchingQitRow(query, [&](int64_t row) {
+      AddSumRow(scratch, row, &out);
     });
     return out;
   }
 
   // Each matching row adds its group's fraction count_v / size to slot
-  // v. A value the group lacks adds exactly +0.0 to both lanes, which
-  // leaves them unchanged (they start at +0.0 and every term is >= 0),
-  // so it is skipped.
+  // v for every value v the group holds in lo..hi. A value the group
+  // lacks would add exactly +0.0 to both lanes, which leaves them
+  // unchanged (they start at +0.0 and every term is >= 0), so the ST's
+  // missing entries cost nothing.
   void EstimateGroupSlots(const AggregateQuery& query, int32_t lo, int32_t hi,
                           EstimateWithVariance* out) const override {
     SlotLanes lanes(lo, hi);
-    ForEachMatchingRow(view_->source(), query, [&](int64_t row) {
+    ForEachMatchingQitRow(query, [&](int64_t row) {
       const int32_t g = view_->group_of_row(row);
-      const int64_t* counts = view_->GroupSaCountPrefix(g) + lanes.lo;
       const int64_t size = view_->group_size(g);
-      for (int32_t k = 0; k < lanes.width; ++k) {
-        const int64_t count = counts[k + 1] - counts[k];
-        if (count == 0) continue;
-        AddShare(Share(count, size), &lanes.estimate[k], &lanes.variance[k]);
+      for (const SaValueCount& e : view_->GroupSaValues(g)) {
+        if (e.value < lo || e.value > hi) continue;
+        const size_t k = static_cast<size_t>(e.value - lo);
+        AddShare(Share(e.count, size), &lanes.estimate[k], &lanes.variance[k]);
       }
     });
     lanes.CopyTo(out);
@@ -580,35 +572,66 @@ class AnatomizedEstimator final : public Estimator {
   void EstimateCountAndSum(const AggregateQuery& query,
                            EstimateWithVariance* count,
                            EstimateWithVariance* sum) const override {
-    const std::vector<double> shares = CountShares(query);
-    const SumMoments moments = SumMomentsOf(query);
-    ForEachMatchingRow(view_->source(), query, [&](int64_t row) {
+    Scratch& scratch = ThreadScratch();
+    const double* shares = CountShares(query, &scratch);
+    SumMoments(query, &scratch);
+    ForEachMatchingQitRow(query, [&](int64_t row) {
       AddCountRow(shares, row, count);
-      AddSumRow(moments, row, sum);
+      AddSumRow(scratch, row, sum);
     });
   }
 
  private:
+  // Per-group statistics of one query. The estimator is shared across
+  // serving threads, so they live in per-thread scratch, which only
+  // grows: a thread allocates once for the largest publication it
+  // serves.
+  struct Scratch {
+    std::vector<double> share;     // matching-SA fraction (COUNT)
+    std::vector<double> mean;      // mean masked value (SUM)
+    std::vector<double> variance;  // per-row variance (SUM)
+  };
+
+  Scratch& ThreadScratch() const {
+    thread_local Scratch scratch;
+    const size_t groups = view_->num_groups();
+    if (scratch.share.size() < groups) {
+      scratch.share.resize(groups);
+      scratch.mean.resize(groups);
+      scratch.variance.resize(groups);
+    }
+    return scratch;
+  }
+
+  // The QIT rows inside `query`'s QI predicates; the SA range is the
+  // ST's business.
+  template <typename Term>
+  void ForEachMatchingQitRow(const AggregateQuery& query, Term&& term) const {
+    ForEachMatchingRow(view_->source(), query, /*match_sa=*/false,
+                       std::forward<Term>(term));
+  }
+
   static double Share(int64_t matching, int64_t size) {
     return static_cast<double>(matching) / static_cast<double>(size);
   }
 
-  // Each group's matching-SA fraction for `query`'s SA range; empty
-  // without an SA predicate, where every matching row counts exactly 1.
-  std::vector<double> CountShares(const AggregateQuery& query) const {
-    std::vector<double> shares;
-    if (!query.has_sa_predicate()) return shares;
-    shares.reserve(view_->num_groups());
+  // Fills scratch->share with each group's matching-SA fraction for
+  // `query`'s SA range and returns it; nullptr without an SA predicate,
+  // where every matching row counts exactly 1.
+  const double* CountShares(const AggregateQuery& query,
+                            Scratch* scratch) const {
+    if (!query.has_sa_predicate()) return nullptr;
     for (size_t g = 0; g < view_->num_groups(); ++g) {
-      shares.push_back(Share(view_->GroupSaCount(g, query.sa_lo, query.sa_hi),
-                             view_->group_size(g)));
+      scratch->share[g] =
+          Share(view_->GroupSaCount(g, query.sa_lo, query.sa_hi),
+                view_->group_size(g));
     }
-    return shares;
+    return scratch->share.data();
   }
 
-  void AddCountRow(const std::vector<double>& shares, int64_t row,
+  void AddCountRow(const double* shares, int64_t row,
                    EstimateWithVariance* out) const {
-    if (shares.empty()) {
+    if (shares == nullptr) {
       out->estimate += 1.0;
       return;
     }
@@ -616,40 +639,33 @@ class AnatomizedEstimator final : public Estimator {
              &out->variance);
   }
 
-  // Per-group mean masked value and per-row variance of a SUM.
-  struct SumMoments {
-    std::vector<double> mean;
-    std::vector<double> variance;
-  };
-
-  SumMoments SumMomentsOf(const AggregateQuery& query) const {
+  // Fills scratch->mean and scratch->variance over the query's SA range
+  // (the ST entries all lie in the domain, which clamps it), or the
+  // whole domain without an SA predicate.
+  void SumMoments(const AggregateQuery& query, Scratch* scratch) const {
     int32_t lo = 0;
     int32_t hi = sa_num_values() - 1;
     if (query.has_sa_predicate()) {
       lo = query.sa_lo;
       hi = query.sa_hi;
     }
-    SumMoments moments;
-    moments.mean.reserve(view_->num_groups());
-    moments.variance.reserve(view_->num_groups());
     for (size_t g = 0; g < view_->num_groups(); ++g) {
       const double inv = 1.0 / static_cast<double>(view_->group_size(g));
       const double mean =
           static_cast<double>(view_->GroupSaValueSum(g, lo, hi)) * inv;
       const double second =
           static_cast<double>(view_->GroupSaValueSquareSum(g, lo, hi)) * inv;
-      moments.mean.push_back(mean);
+      scratch->mean[g] = mean;
       // Non-negative mathematically; the max guards FP rounding only.
-      moments.variance.push_back(std::max(0.0, second - mean * mean));
+      scratch->variance[g] = std::max(0.0, second - mean * mean);
     }
-    return moments;
   }
 
-  void AddSumRow(const SumMoments& moments, int64_t row,
+  void AddSumRow(const Scratch& scratch, int64_t row,
                  EstimateWithVariance* out) const {
     const int32_t g = view_->group_of_row(row);
-    out->estimate += moments.mean[g];
-    out->variance += moments.variance[g];
+    out->estimate += scratch.mean[g];
+    out->variance += scratch.variance[g];
   }
 
   std::shared_ptr<const AnatomizedTable> view_;

@@ -20,7 +20,9 @@
 // precomputed once, so one instance can answer queries from many
 // threads concurrently (the serve/ layer relies on this). Generalized
 // and perturbed views share one pruned box scan over the equivalence
-// classes; Anatomy answers with one scan over the exact QIT rows.
+// classes; Anatomy answers with one scan over the exact QIT rows
+// (query/row_scan.h), after one pass over its sparse ST for the
+// per-group statistics.
 // Every aggregate takes one such scan: AVG accumulates COUNT and SUM
 // side by side, and GROUP-BY fills all of its slots from each visited
 // class (or row).

@@ -7,6 +7,7 @@
 #include "common/logging.h"
 #include "common/random.h"
 #include "common/string_util.h"
+#include "query/row_scan.h"
 
 namespace betalike {
 
@@ -167,36 +168,10 @@ std::vector<int64_t> PreciseCounts(
     const Table& table, const std::vector<AggregateQuery>& workload) {
   std::vector<int64_t> counts;
   counts.reserve(workload.size());
-  const int64_t n = table.num_rows();
-  // Raw column pointers hoisted out of the row loop: the scan is
-  // workload-size × table-size and dominates fig8's wall clock.
-  struct FlatPredicate {
-    const int32_t* column;
-    int32_t lo;
-    int32_t hi;
-  };
-  std::vector<FlatPredicate> preds;
   for (const AggregateQuery& query : workload) {
-    preds.clear();
-    for (const QueryPredicate& p : query.predicates) {
-      preds.push_back({table.qi_column(p.dim).data(), p.lo, p.hi});
-    }
-    if (query.has_sa_predicate()) {
-      // The SA column scans exactly like one more range predicate.
-      preds.push_back({table.sa_column().data(), query.sa_lo, query.sa_hi});
-    }
     int64_t count = 0;
-    for (int64_t row = 0; row < n; ++row) {
-      bool match = true;
-      for (const FlatPredicate& p : preds) {
-        const int32_t v = p.column[row];
-        if (v < p.lo || v > p.hi) {
-          match = false;
-          break;
-        }
-      }
-      count += match ? 1 : 0;
-    }
+    ForEachMatchingRow(table, query, /*match_sa=*/true,
+                       [&](int64_t) { ++count; });
     counts.push_back(count);
   }
   return counts;
@@ -206,34 +181,11 @@ std::vector<int64_t> PreciseSums(
     const Table& table, const std::vector<AggregateQuery>& workload) {
   std::vector<int64_t> sums;
   sums.reserve(workload.size());
-  const int64_t n = table.num_rows();
   const int32_t* sa = table.sa_column().data();
-  struct FlatPredicate {
-    const int32_t* column;
-    int32_t lo;
-    int32_t hi;
-  };
-  std::vector<FlatPredicate> preds;
   for (const AggregateQuery& query : workload) {
-    preds.clear();
-    for (const QueryPredicate& p : query.predicates) {
-      preds.push_back({table.qi_column(p.dim).data(), p.lo, p.hi});
-    }
-    if (query.has_sa_predicate()) {
-      preds.push_back({sa, query.sa_lo, query.sa_hi});
-    }
     int64_t sum = 0;
-    for (int64_t row = 0; row < n; ++row) {
-      bool match = true;
-      for (const FlatPredicate& p : preds) {
-        const int32_t v = p.column[row];
-        if (v < p.lo || v > p.hi) {
-          match = false;
-          break;
-        }
-      }
-      sum += match ? sa[row] : 0;
-    }
+    ForEachMatchingRow(table, query, /*match_sa=*/true,
+                       [&](int64_t row) { sum += sa[row]; });
     sums.push_back(sum);
   }
   return sums;
@@ -243,35 +195,12 @@ std::vector<std::vector<int64_t>> PreciseGroupCounts(
     const Table& table, const std::vector<AggregateQuery>& workload) {
   std::vector<std::vector<int64_t>> groups;
   groups.reserve(workload.size());
-  const int64_t n = table.num_rows();
   const int32_t num_values = table.sa_spec().num_values;
   const int32_t* sa = table.sa_column().data();
-  struct FlatPredicate {
-    const int32_t* column;
-    int32_t lo;
-    int32_t hi;
-  };
-  std::vector<FlatPredicate> preds;
   for (const AggregateQuery& query : workload) {
-    preds.clear();
-    for (const QueryPredicate& p : query.predicates) {
-      preds.push_back({table.qi_column(p.dim).data(), p.lo, p.hi});
-    }
-    if (query.has_sa_predicate()) {
-      preds.push_back({sa, query.sa_lo, query.sa_hi});
-    }
     std::vector<int64_t> per_value(static_cast<size_t>(num_values), 0);
-    for (int64_t row = 0; row < n; ++row) {
-      bool match = true;
-      for (const FlatPredicate& p : preds) {
-        const int32_t v = p.column[row];
-        if (v < p.lo || v > p.hi) {
-          match = false;
-          break;
-        }
-      }
-      if (match) ++per_value[sa[row]];
-    }
+    ForEachMatchingRow(table, query, /*match_sa=*/true,
+                       [&](int64_t row) { ++per_value[sa[row]]; });
     groups.push_back(std::move(per_value));
   }
   return groups;

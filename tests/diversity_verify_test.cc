@@ -15,7 +15,9 @@
 
 #include "baseline/anatomy.h"
 #include "census/census.h"
+#include "core/burel.h"
 #include "common/random.h"
+#include "common/span.h"
 #include "common/string_util.h"
 #include "tests/betalike_test.h"
 
@@ -219,6 +221,92 @@ TEST(AnatomizedView, MatchesBruteForceRecount) {
   // Out-of-domain ranges clamp instead of reading out of bounds.
   EXPECT_EQ(view.GroupSaCount(0, -5, -1), 0);
   EXPECT_EQ(view.GroupSaCount(0, 1000, 2000), 0);
+}
+
+// Every group's sparse ST against a recount of its rows: the entries
+// are the group's distinct values in ascending order with their counts,
+// and GroupSaCount / GroupSaValueSum / GroupSaValueSquareSum agree with
+// the recount on in-domain, straddling, out-of-domain and inverted
+// ranges.
+void ExpectStMatchesRecount(const GeneralizedTable& grouped) {
+  const Table& table = grouped.source();
+  const int32_t num_values = table.sa_spec().num_values;
+  const AnatomizedTable view = AnatomizedTable::FromGrouping(grouped);
+  ASSERT_EQ(view.num_groups(), grouped.num_ecs());
+  const std::vector<std::pair<int32_t, int32_t>> ranges = {
+      {0, num_values - 1}, {0, 0},           {num_values - 1, num_values - 1},
+      {2, 7},              {-3, 4},          {num_values - 2, num_values + 5},
+      {-9, -1},            {num_values, 99}, {6, 5}};
+  for (size_t g = 0; g < grouped.num_ecs(); ++g) {
+    const EquivalenceClass& ec = grouped.ec(g);
+    std::vector<int64_t> per_value(static_cast<size_t>(num_values), 0);
+    for (int64_t row : ec.rows) ++per_value[table.sa_value(row)];
+
+    std::vector<SaValueCount> want;
+    for (int32_t v = 0; v < num_values; ++v) {
+      if (per_value[v] > 0) {
+        want.push_back({v, static_cast<int32_t>(per_value[v])});
+      }
+    }
+    const Span<SaValueCount> got = view.GroupSaValues(g);
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got[i].value, want[i].value);
+      EXPECT_EQ(got[i].count, want[i].count);
+    }
+
+    for (const auto& [lo, hi] : ranges) {
+      int64_t count = 0;
+      int64_t sum = 0;
+      int64_t square_sum = 0;
+      for (int64_t row : ec.rows) {
+        const int64_t v = table.sa_value(row);
+        if (v < lo || v > hi) continue;
+        ++count;
+        sum += v;
+        square_sum += v * v;
+      }
+      EXPECT_EQ(view.GroupSaCount(g, lo, hi), count);
+      EXPECT_EQ(view.GroupSaValueSum(g, lo, hi), sum);
+      EXPECT_EQ(view.GroupSaValueSquareSum(g, lo, hi), square_sum);
+    }
+  }
+}
+
+TEST(AnatomizedView, SparseStMatchesRecountOnAnatomyGroups) {
+  CensusOptions census;
+  census.num_rows = 1000;
+  auto generated = GenerateCensus(census);
+  ASSERT_OK(generated);
+  auto table = std::make_shared<Table>(std::move(generated).value());
+  AnatomyOptions options;
+  options.l = 3;
+  auto published = AnonymizeWithAnatomy(table, options);
+  ASSERT_OK(published);
+  ExpectStMatchesRecount(*published);
+}
+
+// A BUREL publication's classes repeat SA values, so its ST entries
+// carry counts above 1 — a shape Anatomy's own groups never produce.
+TEST(AnatomizedView, SparseStMatchesRecountOnBurelClasses) {
+  CensusOptions census;
+  census.num_rows = 3000;
+  auto generated = GenerateCensus(census);
+  ASSERT_OK(generated);
+  auto table = std::make_shared<Table>(std::move(generated).value());
+  BurelOptions options;
+  options.beta = 4.0;
+  auto published = AnonymizeWithBurel(table, options);
+  ASSERT_OK(published);
+  const AnatomizedTable view = AnatomizedTable::FromGrouping(*published);
+  bool repeats = false;
+  for (size_t g = 0; g < view.num_groups(); ++g) {
+    for (const SaValueCount& e : view.GroupSaValues(g)) {
+      repeats = repeats || e.count > 1;
+    }
+  }
+  EXPECT_TRUE(repeats);
+  ExpectStMatchesRecount(*published);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 // tests/estimator_oracle.h.
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -17,6 +18,7 @@
 #include "perturb/perturbation.h"
 #include "query/estimator.h"
 #include "query/published_view.h"
+#include "query/row_scan.h"
 #include "query/workload.h"
 #include "serve/query_server.h"
 #include "tests/betalike_test.h"
@@ -765,6 +767,129 @@ TEST(EstimatorOracle, AnatomizedGroupByAndAvgMatchWidthOneCounts) {
         [&](const AggregateQuery& q) {
           return oracle::AnatomizedSum(view, q);
         });
+  }
+}
+
+// A table whose first QI spans the whole int32 range, with values
+// drawn from its two edges and its middle, so range predicates bounded
+// by INT32_MIN and INT32_MAX meet matching rows; the second QI and the
+// SA (5 values) are uniform.
+std::shared_ptr<const Table> EdgeValueTable(int64_t rows, uint64_t seed) {
+  constexpr int32_t kMin = std::numeric_limits<int32_t>::min();
+  constexpr int32_t kMax = std::numeric_limits<int32_t>::max();
+  const int32_t edge_values[] = {kMin, kMin + 1, -1, 0, 1, kMax - 1, kMax};
+  Rng rng(seed);
+  std::vector<std::vector<int32_t>> qi_cols(2);
+  std::vector<int32_t> sa;
+  for (int64_t i = 0; i < rows; ++i) {
+    qi_cols[0].push_back(edge_values[rng.Below(7)]);
+    qi_cols[1].push_back(static_cast<int32_t>(rng.Below(100)));
+    sa.push_back(static_cast<int32_t>(rng.Below(5)));
+  }
+  auto table = Table::Create({{"Wide", kMin, kMax}, {"Narrow", 0, 99}},
+                             {"S", 5}, std::move(qi_cols), std::move(sa));
+  BETALIKE_CHECK(table.ok()) << table.status().ToString();
+  return std::make_shared<Table>(std::move(table).value());
+}
+
+// Queries at the row kernel's edges, each QI conjunction under five SA
+// ranges (none, inside, straddling 0, wholly below and wholly above the
+// domain). The conjunctions: none at all; empty ranges (lo > hi) whose
+// unsigned width would wrap to 2^32 - 1 and to 1, and one after a
+// matching range; ranges bounded by INT32_MIN and INT32_MAX.
+std::vector<AggregateQuery> RowKernelEdgeQueries() {
+  constexpr int32_t kMin = std::numeric_limits<int32_t>::min();
+  constexpr int32_t kMax = std::numeric_limits<int32_t>::max();
+  const std::vector<std::vector<QueryPredicate>> conjunctions = {
+      {},
+      {{0, 1, 0}},
+      {{0, kMax, kMin}},
+      {{1, 10, 60}, {0, 5, -5}},
+      {{0, kMin, kMax}},
+      {{0, kMin, kMin}},
+      {{0, kMax, kMax}},
+      {{0, kMin, 0}, {1, 0, 49}},
+      {{1, 50, 99}, {0, 0, kMax}},
+      {{0, kMin + 1, kMax - 1}},
+  };
+  const std::vector<std::pair<int32_t, int32_t>> sa_ranges = {
+      {0, -1}, {1, 3}, {-2, 1}, {-9, -3}, {8, 12}};
+  std::vector<AggregateQuery> queries;
+  for (const auto& predicates : conjunctions) {
+    for (const auto& [sa_lo, sa_hi] : sa_ranges) {
+      AggregateQuery query;
+      query.predicates = predicates;
+      query.sa_lo = sa_lo;
+      query.sa_hi = sa_hi;
+      queries.push_back(query);
+    }
+  }
+  return queries;
+}
+
+// Table sizes at and around one row, 64 rows (a multiple of every
+// vector width the mask loops use) and the row kernel's block.
+std::vector<int64_t> RowKernelTableSizes() {
+  const int64_t block = row_scan_internal::kBlockRows;
+  return {1, 63, 64, 65, block - 1, block, block + 1, 2 * block + 1};
+}
+
+TEST(RowKernel, AnatomizedAggregatesMatchOracleAtEdges) {
+  const std::vector<AggregateQuery> queries = RowKernelEdgeQueries();
+  for (int64_t rows : RowKernelTableSizes()) {
+    const auto table = EdgeValueTable(rows, 300 + rows);
+    const AnatomizedTable view = AnatomizedTable::FromGrouping(
+        ModKPublication(table, static_cast<int>(std::min<int64_t>(rows, 7))));
+    const auto estimator = MakeEstimatorOrDie(PublishedView::Anatomized(view));
+    for (const AggregateQuery& query : queries) {
+      ASSERT_OK(ValidateQuery(table->schema(), query));
+      ExpectSameBits(estimator->EstimateWithUncertainty(query),
+                     oracle::AnatomizedCount(view, query));
+      ExpectSameBits(estimator->EstimateSumWithUncertainty(query),
+                     oracle::AnatomizedSum(view, query));
+    }
+    ExpectGroupByAndAvgMatchOracle(
+        *estimator, queries,
+        [&](const AggregateQuery& q) {
+          return oracle::AnatomizedCount(view, q);
+        },
+        [&](const AggregateQuery& q) {
+          return oracle::AnatomizedSum(view, q);
+        });
+  }
+}
+
+// The kernel visits exactly the rows AggregateQuery::Matches accepts,
+// once each and in ascending order, and the ground-truth functions
+// built on it agree with a row-at-a-time loop.
+TEST(RowKernel, PreciseAggregatesMatchRowWiseLoopAtEdges) {
+  const std::vector<AggregateQuery> queries = RowKernelEdgeQueries();
+  for (int64_t rows : RowKernelTableSizes()) {
+    const auto table = EdgeValueTable(rows, 400 + rows);
+    const std::vector<int64_t> counts = PreciseCounts(*table, queries);
+    const std::vector<int64_t> sums = PreciseSums(*table, queries);
+    const std::vector<std::vector<int64_t>> groups =
+        PreciseGroupCounts(*table, queries);
+    ASSERT_EQ(counts.size(), queries.size());
+    for (size_t i = 0; i < queries.size(); ++i) {
+      const AggregateQuery& query = queries[i];
+      std::vector<int64_t> want_rows;
+      int64_t sum = 0;
+      std::vector<int64_t> per_value(5, 0);
+      for (int64_t row = 0; row < table->num_rows(); ++row) {
+        if (!query.Matches(*table, row)) continue;
+        want_rows.push_back(row);
+        sum += table->sa_value(row);
+        ++per_value[table->sa_value(row)];
+      }
+      std::vector<int64_t> got_rows;
+      ForEachMatchingRow(*table, query, /*match_sa=*/true,
+                         [&](int64_t row) { got_rows.push_back(row); });
+      EXPECT_TRUE(got_rows == want_rows);
+      EXPECT_EQ(counts[i], static_cast<int64_t>(want_rows.size()));
+      EXPECT_EQ(sums[i], sum);
+      EXPECT_TRUE(groups[i] == per_value);
+    }
   }
 }
 
